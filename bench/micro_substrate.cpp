@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the library substrate itself:
 // how fast the discrete-event platform processes operations, how expensive
-// exchange planning is, and the functional kernel throughput. These measure
-// the real (wall-clock) performance of this codebase — useful when scaling
-// the simulator to long runs — and double as a regression harness.
+// exchange planning is, how per-region bookkeeping (sibling binding, cache
+// hits) scales with the region count, and the functional kernel throughput.
+// These measure the real (wall-clock) performance of this codebase — useful
+// when scaling the simulator to long runs — and double as a regression
+// harness.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/tidacc.hpp"
@@ -58,7 +61,57 @@ void BM_ExchangePlan(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * part.num_regions());
 }
-BENCHMARK(BM_ExchangePlan)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ExchangePlan)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/// Timing-only AccTileArray of regions_per_dim^3 regions of 8^3 cells with
+/// one ghost layer, every region fitting on the device.
+std::unique_ptr<core::AccTileArray<double>> incore_array(int regions_per_dim) {
+  return std::make_unique<core::AccTileArray<double>>(
+      tida::Box::cube(regions_per_dim * 8), tida::Index3::uniform(8), 1);
+}
+
+void BM_TileIn(benchmark::State& state) {
+  // Binding the iterator position to a sibling array (the per-tile sibling
+  // check); per-tile cost should not grow with the region count.
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false);
+  oacc::reset();
+  const auto u = incore_array(static_cast<int>(state.range(0)));
+  const auto v = incore_array(static_cast<int>(state.range(0)));
+  core::AccTileIterator<double> it(*u);
+  it.reset(/*gpu=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(it.tile_in(*v));
+    it.next();
+    if (!it.isValid()) {
+      it.reset(/*gpu=*/true);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["regions"] = u->num_regions();
+}
+BENCHMARK(BM_TileIn)->Arg(8)->Arg(16);
+
+void BM_CacheHitAcquire(benchmark::State& state) {
+  // Device acquire of an already-resident region (cache-table lookup plus
+  // slot bookkeeping); per-acquire cost should not grow with the region
+  // count.
+  cuem::configure(sim::DeviceConfig::k40m(), /*functional=*/false);
+  oacc::reset();
+  cuem::platform().trace().set_recording(false);
+  const auto arr = incore_array(static_cast<int>(state.range(0)));
+  arr->assume_host_initialized();
+  for (int r = 0; r < arr->num_regions(); ++r) {
+    arr->acquire_on_device(r);
+  }
+  int r = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(arr->acquire_on_device(r));
+    r = (r + 1) % arr->num_regions();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["regions"] = arr->num_regions();
+}
+BENCHMARK(BM_CacheHitAcquire)->Arg(8)->Arg(16);
 
 void BM_FunctionalHeatStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

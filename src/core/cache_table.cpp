@@ -1,11 +1,25 @@
 #include "core/cache_table.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sim/snapshot.hpp"
 
 namespace tidacc::core {
+
+namespace {
+
+/// Records region → slot in a reverse index, growing it as needed; returns
+/// the slot the index held for `region` before (-1 if none).
+int index_region(std::vector<int>& slot_of_region, int region, int slot) {
+  if (static_cast<size_t>(region) >= slot_of_region.size()) {
+    slot_of_region.resize(static_cast<size_t>(region) + 1, -1);
+  }
+  return std::exchange(slot_of_region[static_cast<size_t>(region)], slot);
+}
+
+}  // namespace
 
 CacheTable::CacheTable(int slots) {
   TIDACC_CHECK_MSG(slots > 0, "cache table needs at least one slot");
@@ -21,9 +35,11 @@ int CacheTable::resident(int slot) const {
 void CacheTable::set(int slot, int region) {
   check_slot(slot);
   TIDACC_CHECK_MSG(region >= 0, "invalid region id");
-  TIDACC_CHECK_MSG(slot_holding(region) == -1 ||
-                       slot_holding(region) == slot,
+  const int held = slot_holding(region);
+  TIDACC_CHECK_MSG(held == -1 || held == slot,
                    "region already resident in another slot");
+  evict(slot);
+  index_region(slot_of_region_, region, slot);
   resident_[static_cast<size_t>(slot)] = region;
   touch(slot);
 }
@@ -40,16 +56,18 @@ std::uint64_t CacheTable::last_used(int slot) const {
 
 void CacheTable::evict(int slot) {
   check_slot(slot);
-  resident_[static_cast<size_t>(slot)] = -1;
+  int& region = resident_[static_cast<size_t>(slot)];
+  if (region >= 0) {
+    slot_of_region_[static_cast<size_t>(region)] = -1;
+  }
+  region = -1;
 }
 
 int CacheTable::slot_holding(int region) const {
-  for (size_t s = 0; s < resident_.size(); ++s) {
-    if (resident_[s] == region) {
-      return static_cast<int>(s);
-    }
+  if (region < 0 || static_cast<size_t>(region) >= slot_of_region_.size()) {
+    return -1;
   }
-  return -1;
+  return slot_of_region_[static_cast<size_t>(region)];
 }
 
 int CacheTable::occupied() const {
@@ -74,10 +92,21 @@ void CacheTable::restore(sim::SnapshotReader& r) {
   std::vector<int> resident = r.get_int_vec();
   TIDACC_CHECK_MSG(resident.size() == resident_.size(),
                    "cache-table snapshot has a different slot count");
-  resident_ = std::move(resident);
-  last_used_ = r.get_u64_vec();
-  TIDACC_CHECK_MSG(last_used_.size() == resident_.size(),
+  std::vector<int> slot_of_region;
+  for (size_t s = 0; s < resident.size(); ++s) {
+    if (resident[s] < 0) {
+      continue;
+    }
+    TIDACC_CHECK_MSG(index_region(slot_of_region, resident[s],
+                                  static_cast<int>(s)) == -1,
+                     "cache-table snapshot holds a region in two slots");
+  }
+  std::vector<std::uint64_t> last_used = r.get_u64_vec();
+  TIDACC_CHECK_MSG(last_used.size() == resident.size(),
                    "cache-table snapshot is inconsistent");
+  resident_ = std::move(resident);
+  slot_of_region_ = std::move(slot_of_region);
+  last_used_ = std::move(last_used);
   clock_ = r.get_u64();
 }
 

@@ -32,8 +32,9 @@ class CacheTable {
   /// Empties `slot`.
   void evict(int slot);
 
-  /// Slot currently holding `region`, or -1 (linear scan; slot counts are
-  /// small — one per device buffer).
+  /// Slot currently holding `region`, or -1. O(1): a reverse region→slot
+  /// index kept in step with set()/evict() (an in-core array has one slot
+  /// per region, so a scan would cost O(regions) per acquire).
   int slot_holding(int region) const;
 
   /// Number of occupied slots.
@@ -48,7 +49,8 @@ class CacheTable {
   std::uint64_t last_used(int slot) const;
 
   /// Snapshot of residency, access stamps and the table clock. Restore
-  /// requires a table of the same slot count.
+  /// requires a table of the same slot count and rebuilds the reverse index
+  /// from the residency (the index itself is not serialised).
   void capture(sim::SnapshotWriter& w) const;
   void restore(sim::SnapshotReader& r);
 
@@ -56,6 +58,8 @@ class CacheTable {
   void check_slot(int slot) const;
 
   std::vector<int> resident_;
+  /// region → slot (-1 = not resident), grown on demand; rebuilt by restore.
+  std::vector<int> slot_of_region_;
   std::vector<std::uint64_t> last_used_;
   std::uint64_t clock_ = 0;
 };

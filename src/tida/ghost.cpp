@@ -1,6 +1,8 @@
 #include "tida/ghost.hpp"
 
 #include <array>
+#include <mutex>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -125,6 +127,60 @@ std::vector<GhostCopy> compute_exchange_plan(const Partition& part, int ghost,
     }
   }
   return plan;
+}
+
+namespace {
+
+struct PlanKey {
+  Box domain;
+  Index3 region_size;
+  int ghost = 0;
+  Boundary bc = Boundary::kNone;
+  friend bool operator==(const PlanKey&, const PlanKey&) = default;
+};
+
+struct PlanMemo {
+  std::mutex mu;
+  std::vector<std::pair<PlanKey, std::weak_ptr<const std::vector<GhostCopy>>>>
+      entries;
+
+  /// Drops entries whose plan has been freed. Caller holds `mu`.
+  void drop_expired() {
+    std::erase_if(entries, [](const auto& e) { return e.second.expired(); });
+  }
+};
+
+PlanMemo& plan_memo() {
+  static PlanMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+SharedPlan shared_exchange_plan(const Partition& part, int ghost,
+                                Boundary bc) {
+  const PlanKey key{part.domain(), part.region_size(), ghost, bc};
+  PlanMemo& memo = plan_memo();
+  const std::lock_guard<std::mutex> lock(memo.mu);
+  memo.drop_expired();
+  for (const auto& [k, weak] : memo.entries) {
+    if (k == key) {
+      if (SharedPlan plan = weak.lock()) {
+        return plan;
+      }
+    }
+  }
+  SharedPlan plan = std::make_shared<const std::vector<GhostCopy>>(
+      compute_exchange_plan(part, ghost, bc));
+  memo.entries.emplace_back(key, plan);
+  return plan;
+}
+
+std::size_t shared_plan_count() {
+  PlanMemo& memo = plan_memo();
+  const std::lock_guard<std::mutex> lock(memo.mu);
+  memo.drop_expired();
+  return memo.entries.size();
 }
 
 std::uint64_t plan_cells(const std::vector<GhostCopy>& plan) {

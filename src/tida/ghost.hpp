@@ -8,6 +8,8 @@
 // exactly this plan — while the GPU applies previously planned copies.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "tida/partition.hpp"
@@ -38,6 +40,19 @@ struct GhostCopy {
 /// then region 1, ...), which the device path exploits for pipelining.
 std::vector<GhostCopy> compute_exchange_plan(const Partition& part, int ghost,
                                              Boundary bc);
+
+/// An immutable exchange plan shared by every array of one geometry.
+using SharedPlan = std::shared_ptr<const std::vector<GhostCopy>>;
+
+/// The exchange plan for (domain, region size, ghost, bc), built once per
+/// geometry: while any holder keeps a plan alive, later calls with an equal
+/// geometry return the same object. The process-wide memo holds only weak
+/// references, so a plan is freed with its last holder, and expired entries
+/// are dropped on every call. Thread-safe: the memo is guarded by a mutex.
+SharedPlan shared_exchange_plan(const Partition& part, int ghost, Boundary bc);
+
+/// Number of live plans in the shared-plan memo (drops expired entries).
+std::size_t shared_plan_count();
 
 /// Total number of ghost cells written by a plan.
 std::uint64_t plan_cells(const std::vector<GhostCopy>& plan);

@@ -70,9 +70,23 @@ int Partition::region_of_cell(const Index3& cell) const {
 
 std::vector<int> Partition::regions_intersecting(const Box& box) const {
   std::vector<int> out;
-  for (int id = 0; id < num_regions(); ++id) {
-    if (boxes_[static_cast<size_t>(id)].intersects(box)) {
-      out.push_back(id);
+  const Box clip = box.intersect(domain_);
+  if (clip.empty()) {
+    return out;
+  }
+  const Index3 lo = clip.lo - domain_.lo;
+  const Index3 hi = clip.hi - domain_.lo;
+  const Index3 glo{lo.i / region_size_.i, lo.j / region_size_.j,
+                   lo.k / region_size_.k};
+  const Index3 ghi{hi.i / region_size_.i, hi.j / region_size_.j,
+                   hi.k / region_size_.k};
+  out.reserve(static_cast<size_t>(ghi.i - glo.i + 1) * (ghi.j - glo.j + 1) *
+              (ghi.k - glo.k + 1));
+  for (int gk = glo.k; gk <= ghi.k; ++gk) {
+    for (int gj = glo.j; gj <= ghi.j; ++gj) {
+      for (int gi = glo.i; gi <= ghi.i; ++gi) {
+        out.push_back((gk * grid_dims_.j + gj) * grid_dims_.i + gi);
+      }
     }
   }
   return out;

@@ -37,13 +37,19 @@ class Partition {
   /// Region id owning a domain cell (-1 if outside the domain).
   int region_of_cell(const Index3& cell) const;
 
-  /// Ids of regions whose valid boxes intersect `box`.
+  /// Ids of regions whose valid boxes intersect `box`, ascending. O(result):
+  /// the box is clipped to the domain and mapped to region-grid coordinates.
   std::vector<int> regions_intersecting(const Box& box) const;
 
   /// The largest region volume (used to size uniform device buffers).
   std::uint64_t max_region_volume(int ghost) const;
 
-  friend bool operator==(const Partition&, const Partition&) = default;
+  /// Partitions are equal when they decompose the same domain with the same
+  /// region size; the grid and the region boxes are derived from those two,
+  /// so the comparison is O(1) whatever the region count.
+  friend bool operator==(const Partition& a, const Partition& b) {
+    return a.domain_ == b.domain_ && a.region_size_ == b.region_size_;
+  }
 
  private:
   Box domain_;

@@ -200,14 +200,14 @@ class TileArray {
     return cells;
   }
 
-  /// The cached exchange plan for this array's geometry.
+  /// The exchange plan for this array's geometry, shared with every other
+  /// array of equal geometry (see shared_exchange_plan).
   const std::vector<GhostCopy>& exchange_plan(Boundary bc) {
-    auto& slot = plans_[static_cast<int>(bc)];
-    if (!slot.valid) {
-      slot.plan = compute_exchange_plan(part_, ghost_, bc);
-      slot.valid = true;
+    SharedPlan& plan = plans_[static_cast<int>(bc)];
+    if (!plan) {
+      plan = shared_exchange_plan(part_, ghost_, bc);
     }
-    return slot.plan;
+    return *plan;
   }
 
   /// Executes one planned copy on host buffers, all components (also used
@@ -229,17 +229,12 @@ class TileArray {
   }
 
  private:
-  struct PlanSlot {
-    bool valid = false;
-    std::vector<GhostCopy> plan;
-  };
-
   Partition part_;
   int ghost_;
   HostAlloc alloc_;
   int ncomp_ = 1;
   std::vector<T*> buffers_;
-  PlanSlot plans_[2];
+  SharedPlan plans_[2];
 };
 
 }  // namespace tidacc::tida

@@ -305,6 +305,21 @@ TEST_F(AccArrayTest, ComputeMultiTileTwoArrays) {
   EXPECT_DOUBLE_EQ(v.at({3, 5, 7}), 2.0 * pattern({3, 5, 7}));
 }
 
+TEST_F(AccArrayTest, TileInRejectsSiblingOfOtherGeometry) {
+  AccTileArray<double> u(Box::cube(8), Index3::uniform(4), 0);
+  AccTileArray<double> same(Box::cube(8), Index3::uniform(4), 0);
+  // Same region count and grid, different domain.
+  AccTileArray<double> shifted(Box::cube(8).shift({0, 0, 8}),
+                               Index3::uniform(4), 0);
+  // Same domain, different region size.
+  AccTileArray<double> slabs(Box::cube(8), Index3{8, 8, 1}, 0);
+  AccTileIterator<double> it(u);
+  it.reset(true);
+  EXPECT_EQ(it.tile_in(same).array, &same);
+  EXPECT_THROW(it.tile_in(shifted), Error);
+  EXPECT_THROW(it.tile_in(slabs), Error);
+}
+
 TEST_F(AccArrayTest, MixedGpuFlagsRejected) {
   AccTileArray<double> u(Box::cube(4), Index3::uniform(4), 0);
   AccTileArray<double> v(Box::cube(4), Index3::uniform(4), 0);

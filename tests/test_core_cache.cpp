@@ -16,6 +16,7 @@
 #include "core/slot_policy.hpp"
 #include "cuem/cuem.hpp"
 #include "oacc/oacc.hpp"
+#include "sim/snapshot.hpp"
 
 namespace tidacc::core {
 namespace {
@@ -62,6 +63,108 @@ TEST(CacheTable, ReplacingResidentWithoutEvictIsAllowed) {
   c.set(0, 1);
   c.set(0, 2);  // overwrite (caller handled the victim)
   EXPECT_EQ(c.resident(0), 2);
+}
+
+/// The reverse index agrees with a scan of resident() for regions 0..n-1.
+void expect_index_consistent(const CacheTable& c, int regions) {
+  for (int r = 0; r < regions; ++r) {
+    int scan = -1;
+    for (int s = 0; s < c.num_slots(); ++s) {
+      if (c.resident(s) == r) {
+        scan = s;
+      }
+    }
+    EXPECT_EQ(c.slot_holding(r), scan) << "region " << r;
+  }
+}
+
+TEST(CacheTable, ReverseIndexFollowsSetEvictAndOverwrite) {
+  CacheTable c(3);
+  EXPECT_EQ(c.slot_holding(0), -1);
+  EXPECT_EQ(c.slot_holding(1000), -1);  // never seen: outside the index
+  EXPECT_EQ(c.slot_holding(-1), -1);
+  c.set(0, 4);
+  c.set(2, 9);
+  EXPECT_EQ(c.slot_holding(4), 0);
+  EXPECT_EQ(c.slot_holding(9), 2);
+  expect_index_consistent(c, 12);
+  c.set(0, 1);  // overwrite: region 4 leaves slot 0
+  EXPECT_EQ(c.slot_holding(4), -1);
+  EXPECT_EQ(c.slot_holding(1), 0);
+  c.set(1, 4);  // and may now move into another slot
+  EXPECT_EQ(c.slot_holding(4), 1);
+  expect_index_consistent(c, 12);
+  c.evict(2);
+  EXPECT_EQ(c.slot_holding(9), -1);
+  c.evict(2);  // evicting an empty slot is a no-op
+  expect_index_consistent(c, 12);
+  c.set(2, 9);
+  EXPECT_EQ(c.slot_holding(9), 2);
+  expect_index_consistent(c, 12);
+}
+
+TEST(CacheTable, RestoreRebuildsReverseIndex) {
+  CacheTable c(4);
+  c.set(0, 3);
+  c.set(1, 7);
+  c.set(3, 0);
+  c.touch(1);
+  sim::SnapshotWriter w;
+  c.capture(w);
+
+  CacheTable back(4);
+  back.set(2, 3);  // stale residency the restore must replace
+  back.set(0, 5);
+  sim::SnapshotReader r(w.buffer());
+  back.restore(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(back.slot_holding(3), 0);
+  EXPECT_EQ(back.slot_holding(7), 1);
+  EXPECT_EQ(back.slot_holding(0), 3);
+  EXPECT_EQ(back.slot_holding(5), -1);
+  expect_index_consistent(back, 10);
+  back.set(2, 5);  // the index keeps working after the restore
+  EXPECT_EQ(back.slot_holding(5), 2);
+  expect_index_consistent(back, 10);
+}
+
+TEST(CacheTable, SnapshotBytesCarryOnlyResidencyStampsAndClock) {
+  CacheTable c(3);
+  c.set(0, 2);
+  c.set(2, 6);
+  c.touch(0);
+  c.evict(2);
+  // The format: residency, access stamps, clock — no reverse index.
+  sim::SnapshotWriter expected;
+  expected.section("cache_table");
+  expected.put_int_vec({2, -1, -1});
+  expected.put_u64_vec({3, 0, 2});
+  expected.put_u64(3);
+
+  sim::SnapshotWriter w;
+  c.capture(w);
+  EXPECT_EQ(w.buffer(), expected.buffer());
+
+  CacheTable back(3);
+  sim::SnapshotReader r(w.buffer());
+  back.restore(r);
+  sim::SnapshotWriter again;
+  back.capture(again);
+  EXPECT_EQ(again.buffer(), expected.buffer());
+}
+
+TEST(CacheTable, RestoreRejectsRegionInTwoSlots) {
+  sim::SnapshotWriter w;
+  w.section("cache_table");
+  w.put_int_vec({4, 4});
+  w.put_u64_vec({1, 2});
+  w.put_u64(2);
+  CacheTable c(2);
+  c.set(1, 8);
+  sim::SnapshotReader r(w.buffer());
+  EXPECT_THROW(c.restore(r), Error);
+  EXPECT_EQ(c.slot_holding(8), 1);  // a failed restore leaves the table
+  expect_index_consistent(c, 10);
 }
 
 TEST(CacheTable, BoundsChecked) {

@@ -345,6 +345,19 @@ TEST_F(MultiArrayTest, StagedGhostExchangeMatchesDirectValues) {
   EXPECT_EQ(r0.at(3, 3, -1), pattern(Index3{3, 3, 7}));
 }
 
+TEST_F(MultiArrayTest, ComputeGpuRejectsPairOfOtherGeometry) {
+  MultiAccTileArray<double> in(Box::cube(8), Index3{8, 8, 2}, 1);
+  // Same region count and placement, different domain.
+  MultiAccTileArray<double> shifted(Box::cube(8).shift({8, 0, 0}),
+                                    Index3{8, 8, 2}, 1);
+  // Same domain, different region size.
+  MultiAccTileArray<double> cubes(Box::cube(8), Index3::uniform(4), 1);
+  const auto body = [](DeviceView<double>, DeviceView<double>, int, int,
+                       int) {};
+  EXPECT_THROW(compute_gpu(in, shifted, 0, unit_cost(), body), Error);
+  EXPECT_THROW(compute_gpu(in, cubes, 0, unit_cost(), body), Error);
+}
+
 TEST_F(MultiArrayTest, FunctionalHeatMatchesSingleDevice) {
   const auto run = [](int devices) {
     cuem::configure(DeviceConfig::k40m(), /*functional=*/true, devices,

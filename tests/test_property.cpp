@@ -5,7 +5,8 @@
 //    device kernels, ghost exchanges and location moves must always agree
 //    with a plain flat-array shadow model, for any slot budget (full,
 //    limited, single).
-// 2. Exchange-plan fuzz: random geometries, the periodic ghost invariants.
+// 2. Exchange-plan fuzz: random geometries, the periodic ghost invariants,
+//    and the grid-indexed region lookup and plan against brute-force scans.
 // 3. Stream-semantics fuzz: random op DAGs must respect per-stream ordering
 //    and engine exclusivity in the simulated timeline.
 #include <gtest/gtest.h>
@@ -233,6 +234,156 @@ TEST(ExchangeFuzz, RandomGeometriesInvariants) {
       ASSERT_EQ(c.src_box.extent(), c.dst_box.extent());
       ASSERT_TRUE(
           part.region_box(c.dst_region).intersect(c.dst_box).empty());
+    }
+  }
+}
+
+// --- grid-indexed planning against brute-force scans ---
+
+/// Ids of the regions whose boxes intersect `box`, by scanning every region.
+std::vector<int> scan_intersecting(const tida::Partition& part,
+                                   const Box& box) {
+  std::vector<int> out;
+  for (int id = 0; id < part.num_regions(); ++id) {
+    if (part.region_box(id).intersects(box)) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+/// Reference exchange plan in compute_exchange_plan's documented order —
+/// destination region, then its 26 ghost-zone boxes (k outermost), then the
+/// below/inside/above-domain pieces (i outermost), then source regions in
+/// ascending id — with sources found by a scan of every region box.
+std::vector<tida::GhostCopy> reference_plan(const tida::Partition& part,
+                                            int ghost, Boundary bc) {
+  struct Piece {
+    int lo;
+    int hi;
+    int shift;
+  };
+  const Box dom = part.domain();
+  const bool periodic = bc == Boundary::kPeriodic;
+  // Ghost interval on side d (-1, 0, +1) of [lo, hi], cut at the domain
+  // bounds [dlo, dhi]; outside pieces wrap (periodic) or are dropped.
+  const auto pieces = [&](int d, int lo, int hi, int dlo, int dhi) {
+    const int a = d < 0 ? lo - ghost : d > 0 ? hi + 1 : lo;
+    const int b = d < 0 ? lo - 1 : d > 0 ? hi + ghost : hi;
+    const int ext = dhi - dlo + 1;
+    const Piece cut[3] = {{a, std::min(b, dlo - 1), ext},
+                          {std::max(a, dlo), std::min(b, dhi), 0},
+                          {std::max(a, dhi + 1), b, -ext}};
+    std::vector<Piece> out;
+    for (int c = 0; c < 3; ++c) {
+      if (cut[c].lo <= cut[c].hi && (c == 1 || periodic)) {
+        out.push_back(cut[c]);
+      }
+    }
+    return out;
+  };
+  std::vector<tida::GhostCopy> plan;
+  if (ghost == 0) {
+    return plan;
+  }
+  for (int dst = 0; dst < part.num_regions(); ++dst) {
+    const Box v = part.region_box(dst);
+    for (int dk = -1; dk <= 1; ++dk) {
+      for (int dj = -1; dj <= 1; ++dj) {
+        for (int di = -1; di <= 1; ++di) {
+          if (di == 0 && dj == 0 && dk == 0) {
+            continue;
+          }
+          for (const Piece& pi : pieces(di, v.lo.i, v.hi.i, dom.lo.i,
+                                        dom.hi.i)) {
+            for (const Piece& pj : pieces(dj, v.lo.j, v.hi.j, dom.lo.j,
+                                          dom.hi.j)) {
+              for (const Piece& pk : pieces(dk, v.lo.k, v.hi.k, dom.lo.k,
+                                            dom.hi.k)) {
+                const Box dst_box{{pi.lo, pj.lo, pk.lo},
+                                  {pi.hi, pj.hi, pk.hi}};
+                const Index3 shift{pi.shift, pj.shift, pk.shift};
+                const Box src_area = dst_box.shift(shift);
+                for (int src = 0; src < part.num_regions(); ++src) {
+                  const Box piece = part.region_box(src).intersect(src_area);
+                  if (!piece.empty()) {
+                    plan.push_back(tida::GhostCopy{src, dst, piece,
+                                                   piece.shift(-shift),
+                                                   shift});
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return plan;
+}
+
+/// Uniform random point of the inclusive box [lo, hi].
+Index3 pick(Rng& rng, const Index3& lo, const Index3& hi) {
+  const auto one = [&](int a, int b) {
+    return a + static_cast<int>(
+                   rng.next_below(static_cast<std::uint64_t>(b - a + 1)));
+  };
+  return {one(lo.i, hi.i), one(lo.j, hi.j), one(lo.k, hi.k)};
+}
+
+TEST(ExchangeFuzz, RegionsIntersectingMatchesBoxScan) {
+  Rng rng(0x1D7E5EC7);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Index3 ext = pick(rng, Index3::uniform(1), Index3::uniform(13));
+    const Index3 lo = pick(rng, Index3::uniform(-3), Index3::uniform(3));
+    const Index3 region = pick(rng, Index3::uniform(1), ext);
+    const tida::Partition part(Box{lo, lo + ext - Index3::uniform(1)},
+                               region);
+    for (int q = 0; q < 50; ++q) {
+      // Corners up to 6 cells outside the domain; a negative extent gives
+      // an empty box.
+      const Index3 qlo =
+          pick(rng, lo - Index3::uniform(6), lo + ext + Index3::uniform(5));
+      const Index3 qhi =
+          qlo + pick(rng, Index3::uniform(-2), ext + Index3::uniform(2));
+      const Box box{qlo, qhi};
+      ASSERT_EQ(part.regions_intersecting(box), scan_intersecting(part, box))
+          << "trial " << trial << " domain " << part.domain() << " region "
+          << region << " box " << box;
+    }
+    EXPECT_TRUE(
+        part.regions_intersecting(part.domain().shift(ext * 2)).empty());
+    EXPECT_EQ(part.regions_intersecting(part.domain()).size(),
+              static_cast<std::size_t>(part.num_regions()));
+  }
+}
+
+TEST(ExchangeFuzz, PlanMatchesBruteForceReference) {
+  Rng rng(0x9E05E4F);
+  for (int trial = 0; trial < 30; ++trial) {
+    const Index3 ext = pick(rng, Index3::uniform(2), Index3::uniform(11));
+    const Index3 region = pick(rng, Index3::uniform(1), ext);
+    const tida::Partition part(Box::from_extents(ext).shift({-2, 1, 3}),
+                               region);
+    const int min_ext = std::min({ext.i, ext.j, ext.k});
+    for (const Boundary bc : {Boundary::kNone, Boundary::kPeriodic}) {
+      for (int ghost = 0; ghost <= 3; ++ghost) {
+        if (bc == Boundary::kPeriodic && ghost > min_ext) {
+          continue;  // rejected by the planner
+        }
+        const auto plan = tida::compute_exchange_plan(part, ghost, bc);
+        const auto ref = reference_plan(part, ghost, bc);
+        ASSERT_EQ(plan.size(), ref.size())
+            << "trial " << trial << " bc " << tida::to_string(bc)
+            << " ghost " << ghost;
+        for (std::size_t c = 0; c < plan.size(); ++c) {
+          ASSERT_EQ(plan[c].src_region, ref[c].src_region) << "copy " << c;
+          ASSERT_EQ(plan[c].dst_region, ref[c].dst_region) << "copy " << c;
+          ASSERT_EQ(plan[c].src_box, ref[c].src_box) << "copy " << c;
+          ASSERT_EQ(plan[c].dst_box, ref[c].dst_box) << "copy " << c;
+          ASSERT_EQ(plan[c].shift, ref[c].shift) << "copy " << c;
+        }
+      }
     }
   }
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -200,6 +202,66 @@ TEST_F(TidaArrayTest, ExchangePlanIsCached) {
   EXPECT_EQ(p1, p2);
   const auto* p3 = &arr.exchange_plan(Boundary::kNone);
   EXPECT_NE(p1, p3);
+}
+
+TEST_F(TidaArrayTest, EqualGeometriesShareOnePlan) {
+  TileArray<double> a(Box::cube(12), Index3::uniform(4), 1);
+  TileArray<double> b(Box::cube(12), Index3::uniform(4), 1);
+  TileArray<float> c(Box::cube(12), Index3::uniform(4), 1,
+                     HostAlloc::kPageable, 2);
+  const auto* plan = &a.exchange_plan(Boundary::kPeriodic);
+  EXPECT_EQ(&b.exchange_plan(Boundary::kPeriodic), plan);
+  EXPECT_EQ(&c.exchange_plan(Boundary::kPeriodic), plan);  // geometry only
+
+  TileArray<double> wide(Box::cube(12), Index3::uniform(4), 2);
+  TileArray<double> slabs(Box::cube(12), Index3{12, 12, 4}, 1);
+  TileArray<double> shifted(Box::cube(12).shift({1, 0, 0}),
+                            Index3::uniform(4), 1);
+  EXPECT_NE(&wide.exchange_plan(Boundary::kPeriodic), plan);
+  EXPECT_NE(&slabs.exchange_plan(Boundary::kPeriodic), plan);
+  EXPECT_NE(&shifted.exchange_plan(Boundary::kPeriodic), plan);
+  EXPECT_NE(&b.exchange_plan(Boundary::kNone), plan);
+  EXPECT_EQ(&b.exchange_plan(Boundary::kNone),
+            &a.exchange_plan(Boundary::kNone));
+}
+
+TEST_F(TidaArrayTest, SharedPlanFreedWithLastHolder) {
+  const std::size_t live = shared_plan_count();
+  std::weak_ptr<const std::vector<GhostCopy>> weak;
+  {
+    TileArray<double> a(Box::cube(10), Index3::uniform(5), 1);
+    a.exchange_plan(Boundary::kPeriodic);
+    weak = shared_exchange_plan(a.partition(), 1, Boundary::kPeriodic);
+    EXPECT_EQ(weak.lock().get(), &a.exchange_plan(Boundary::kPeriodic));
+    EXPECT_EQ(shared_plan_count(), live + 1);
+    {
+      TileArray<double> b(Box::cube(10), Index3::uniform(5), 1);
+      b.exchange_plan(Boundary::kPeriodic);
+      EXPECT_EQ(shared_plan_count(), live + 1);
+    }
+    EXPECT_FALSE(weak.expired());  // `a` still holds it
+  }
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(shared_plan_count(), live);  // the expired entry is dropped
+}
+
+TEST_F(TidaArrayTest, SharedPlanIsThreadSafe) {
+  const Partition part(Box::cube(12), Index3::uniform(3));
+  std::vector<SharedPlan> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = shared_exchange_plan(part, 1, Boundary::kPeriodic);
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (const SharedPlan& plan : got) {
+    EXPECT_EQ(plan, got[0]);
+  }
+  EXPECT_EQ(got[0]->size(),
+            compute_exchange_plan(part, 1, Boundary::kPeriodic).size());
 }
 
 // --- parameterized: exchange correctness across geometries ---

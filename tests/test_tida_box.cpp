@@ -269,6 +269,27 @@ TEST(Partition, RegionsIntersecting) {
   EXPECT_EQ(ids.size(), 8u);  // the 2x2x2 corner junction touches all
   const auto one = p.regions_intersecting(Box{{0, 0, 0}, {1, 1, 1}});
   EXPECT_EQ(one, (std::vector<int>{0}));
+  // Boxes partly or wholly outside the domain, and an empty box.
+  EXPECT_EQ(p.regions_intersecting(Box{{-9, -9, 5}, {1, 20, 5}}),
+            (std::vector<int>{4, 6}));
+  EXPECT_TRUE(p.regions_intersecting(Box{{8, 0, 0}, {12, 3, 3}}).empty());
+  EXPECT_TRUE(p.regions_intersecting(Box{}).empty());
+}
+
+TEST(Partition, EqualityComparesDomainAndRegionSize) {
+  const Partition a(Box::cube(8), Index3::uniform(4));
+  EXPECT_EQ(a, Partition(Box::cube(8), Index3::uniform(4)));
+  const Partition copy = a;
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(Partition(), Partition());
+  EXPECT_NE(a, Partition());
+  // Same region count and grid, different domain.
+  EXPECT_NE(a, Partition(Box::cube(8).shift({1, 0, 0}), Index3::uniform(4)));
+  // Same domain, different region size.
+  EXPECT_NE(a, Partition(Box::cube(8), Index3{4, 4, 2}));
+  // One region either way — the boxes agree, but the region size does not.
+  EXPECT_NE(Partition(Box::cube(4), Index3::uniform(4)),
+            Partition(Box::cube(4), Index3::uniform(5)));
 }
 
 TEST(Partition, MaxRegionVolume) {
