@@ -237,7 +237,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       const auto& plan = this->exchange_plan(epoch_bc_);
       for (const std::size_t c : epoch_staged_) {
         const tida::GhostCopy& gc = plan[c];
-        cuem::DeviceGuard guard(this->device_of_region(gc.dst_region));
         this->copy_boxes(gc.dst_region, {gc.dst_box},
                          cuemMemcpyHostToDevice,
                          this->stream_of_region(gc.dst_region),
@@ -386,39 +385,20 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                                /*write=*/true);
   }
 
-  /// Host-side index bookkeeping for `copies` planned copies. Each node
-  /// has its own CPU working its own shard of the plan concurrently (the
-  /// cluster analogue of MPI ranks), so the single simulated host thread
-  /// advances by the per-node share — the makespan across node CPUs for a
-  /// balanced plan — not the cluster-wide sum.
-  SimTime index_calc_ns(std::size_t copies) const {
-    return static_cast<SimTime>(copies) *
-           sim::Platform::instance().config().host_index_calc_ns_per_copy /
-           static_cast<SimTime>(nodes_);
-  }
-
   /// Wire bytes one cross-node ghost message of `bytes` logical payload
-  /// puts on the link: 0 = send raw. Mirrors the fabric's work-request
-  /// pricing exactly — hop latency and completion cost are identical on
-  /// both paths, so kAuto compares just the codec stages plus the shrunken
-  /// wire against the raw wire at the path's effective rate. Ghost
-  /// messages carry boundary shells, hence the ghost-refresh ratio.
+  /// puts on the link: 0 = send raw. use_codec at the path's effective
+  /// rate mirrors the fabric's work-request pricing (hop latency and
+  /// completion cost are identical on both paths). Ghost messages carry
+  /// boundary shells, hence the ghost-refresh ratio.
   std::uint64_t wire_bytes_for(std::uint64_t bytes,
                                bool gpudirect_path) const {
-    if (wire_compression_ == Compression::kOff || bytes == 0) {
+    const sim::FabricConfig& cfg = fabric_->config();
+    if (!use_codec(wire_compression_, cfg.codec, bytes,
+                   sim::PayloadKind::kGhostRefresh,
+                   cfg.path_gbps(gpudirect_path))) {
       return 0;
     }
-    const sim::CodecConfig& codec = fabric_->config().codec;
-    const std::uint64_t wire =
-        codec.wire_bytes(bytes, sim::PayloadKind::kGhostRefresh);
-    if (wire_compression_ == Compression::kAuto) {
-      const double gbps = fabric_->config().path_gbps(gpudirect_path);
-      if (codec.codec_time_ns(bytes) + transfer_time_ns(wire, gbps) >=
-          transfer_time_ns(bytes, gbps)) {
-        return 0;
-      }
-    }
-    return wire;
+    return cfg.codec.wire_bytes(bytes, sim::PayloadKind::kGhostRefresh);
   }
 
   /// All regions resident: post cross-node faces first (phase 1), then run
@@ -458,7 +438,7 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       const tida::GhostCopy& head = plan[group.front()];
       const int src_node = node_of_region(head.src_region);
       const int dst_node = node_of_region(head.dst_region);
-      p.host_advance(index_calc_ns(group.size()));
+      p.host_advance(this->index_calc_ns(group.size(), nodes_));
       std::uint64_t bytes = 0;
       for (const std::size_t c : group) {
         bytes += plan[c].dst_box.volume() * this->ncomp() * sizeof(T);
@@ -500,16 +480,12 @@ class ClusterTileArray : public MultiAccTileArray<T> {
         // two-sided send into the destination's, H2D push at
         // exchange_end.
         const cuemStream_t sstream = this->stream_of_region(head.src_region);
-        {
-          cuem::DeviceGuard guard(this->device_of_region(head.src_region));
-          std::vector<tida::Box> src_boxes;
-          for (const std::size_t c : group) {
-            src_boxes.push_back(plan[c].src_box);
-          }
-          this->copy_boxes(head.src_region, src_boxes,
-                           cuemMemcpyDeviceToHost, sstream,
-                           sim::PayloadKind::kFaceShell);
+        std::vector<tida::Box> src_boxes;
+        for (const std::size_t c : group) {
+          src_boxes.push_back(plan[c].src_box);
         }
+        this->copy_boxes(head.src_region, src_boxes, cuemMemcpyDeviceToHost,
+                         sstream, sim::PayloadKind::kFaceShell);
         const sim::QpId qp = qp_for(src_node, dst_node);
         fabric_->post_recv(qp, host_mr_of(head.dst_region), 0, bytes);
         auto action = [this, bc, group]() {
@@ -527,8 +503,10 @@ class ClusterTileArray : public MultiAccTileArray<T> {
                            /*device_path=*/false);
         for (const std::size_t c : group) {
           if (cuem::san::enabled()) {
-            note_ghost_copy_access_host(fabric_->qp_stream(qp), plan[c],
-                                        "staged-ghost");
+            this->note_copy_access(fabric_->qp_stream(qp),
+                                   this->region(plan[c].src_region),
+                                   this->region(plan[c].dst_region), plan[c],
+                                   "staged-ghost");
           }
           epoch_staged_.push_back(c);
         }
@@ -537,109 +515,11 @@ class ClusterTileArray : public MultiAccTileArray<T> {
       }
     }
 
-    // Phase 2: the intra-node faces, exactly as the base device exchange
-    // does it — update kernel per destination for same-device faces, peer
-    // copies for cross-device-same-node ones, event edges protecting the
-    // sources (see MultiAccTileArray::fill_boundary_device).
-    std::size_t begin = 0;
-    while (begin < plan.size()) {
-      const int dst = plan[begin].dst_region;
-      const int dst_dev = this->device_of_region(dst);
-      const int dst_node = node_of_region(dst);
-      std::size_t end = begin;
-      std::uint64_t local_cells = 0;
-      std::size_t intra = 0;
-      while (end < plan.size() && plan[end].dst_region == dst) {
-        if (node_of_region(plan[end].src_region) == dst_node) {
-          ++intra;
-          if (this->device_of_region(plan[end].src_region) == dst_dev) {
-            local_cells += plan[end].dst_box.volume();
-          }
-        }
-        ++end;
-      }
-      if (intra == 0) {
-        begin = end;
-        continue;
-      }
-      p.host_advance(index_calc_ns(intra));
-
-      const cuemStream_t dstream = this->stream_of_region(dst);
-
-      if (local_cells > 0) {
-        sim::KernelProfile prof;
-        prof.elements = local_cells * this->ncomp();
-        prof.dev_bytes_per_element = 2.0 * sizeof(T);
-        prof.flops_per_element = 0.0;
-        prof.tuned_geometry = false;  // OpenACC-generated update kernel
-
-        auto action = [this, bc, dst_dev, begin, end]() {
-          const auto& pl = this->exchange_plan(bc);
-          for (std::size_t c = begin; c < end; ++c) {
-            if (this->device_of_region(pl[c].src_region) == dst_dev) {
-              this->apply_copy_device(pl[c]);
-            }
-          }
-        };
-        p.enqueue_kernel(dstream, prof, p.config().oacc_dispatch_extra_ns,
-                         std::move(action), "ghost:R" + std::to_string(dst));
-        ++this->device_ghost_updates_;
-      }
-
-      for (std::size_t c = begin; c < end; ++c) {
-        const tida::GhostCopy& gc = plan[c];
-        const int src_dev = this->device_of_region(gc.src_region);
-        if (src_dev == dst_dev || node_of_region(gc.src_region) != dst_node) {
-          continue;
-        }
-        const std::uint64_t bytes =
-            gc.dst_box.volume() * this->ncomp() * sizeof(T);
-        auto action = [this, bc, c]() {
-          this->apply_copy_device(this->exchange_plan(bc)[c]);
-        };
-        CUEM_CHECK(cuem::peer_copy_async(
-            dst_dev, src_dev, bytes, dstream,
-            "G:R" + std::to_string(gc.src_region) + ">R" +
-                std::to_string(dst),
-            std::move(action)));
-        ++this->peer_ghost_copies_;
-      }
-      if (cuem::san::enabled()) {
-        const std::string op = "ghost:R" + std::to_string(dst);
-        for (std::size_t c = begin; c < end; ++c) {
-          if (node_of_region(plan[c].src_region) == dst_node) {
-            this->note_ghost_copy_access(dstream, plan[c], op.c_str());
-          }
-        }
-      }
-      for (std::size_t c = begin; c < end; ++c) {
-        if (node_of_region(plan[c].src_region) == dst_node) {
-          this->note_device_write(dst, plan[c].dst_box);
-        }
-      }
-      std::vector<cuemStream_t> src_streams;
-      for (std::size_t c = begin; c < end; ++c) {
-        if (node_of_region(plan[c].src_region) != dst_node) {
-          continue;
-        }
-        const cuemStream_t s = this->stream_of_region(plan[c].src_region);
-        if (s != dstream &&
-            std::find(src_streams.begin(), src_streams.end(), s) ==
-                src_streams.end()) {
-          src_streams.push_back(s);
-        }
-      }
-      if (!src_streams.empty()) {
-        cuemEvent_t ev = 0;
-        CUEM_CHECK(cuemEventCreate(&ev));
-        CUEM_CHECK(cuemEventRecord(ev, dstream));
-        for (const cuemStream_t s : src_streams) {
-          CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
-        }
-        CUEM_CHECK(cuemEventDestroy(ev));
-      }
-      begin = end;
-    }
+    // Phase 2: the intra-node faces, through the base device exchange
+    // (update kernel per destination for same-device faces, peer copies
+    // for cross-device-same-node ones, event edges protecting the sources)
+    // while the payloads fly.
+    this->exchange_device_faces(bc, nodes_);
   }
 
   /// The data already moved through the base host exchange; charge the
@@ -671,49 +551,6 @@ class ClusterTileArray : public MultiAccTileArray<T> {
     }
     for (const sim::WrId wr : wrs) {
       fabric_->wait(wr);
-    }
-  }
-
-  /// Applies one planned ghost copy between *host* buffers (the functional
-  /// part of a staged send landing in the destination's pinned memory).
-  void apply_copy_host(const tida::GhostCopy& c) {
-    const tida::Region<T> src = this->region(c.src_region);
-    const tida::Region<T> dst = this->region(c.dst_region);
-    const tida::Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < this->ncomp(); ++comp) {
-      for (int k = 0; k < e.k; ++k) {
-        for (int j = 0; j < e.j; ++j) {
-          const tida::Index3 d0 = c.dst_box.lo + tida::Index3{0, j, k};
-          const tida::Index3 s0 = c.src_box.lo + tida::Index3{0, j, k};
-          std::memcpy(&dst.at(d0, comp), &src.at(s0, comp),
-                      static_cast<std::size_t>(e.i) * sizeof(T));
-        }
-      }
-    }
-  }
-
-  /// Host-buffer twin of note_ghost_copy_access: the exact byte boxes a
-  /// staged send touches in the pinned host buffers, per component.
-  void note_ghost_copy_access_host(cuemStream_t stream,
-                                   const tida::GhostCopy& c, const char* op) {
-    const tida::Region<T> src = this->region(c.src_region);
-    const tida::Region<T> dst = this->region(c.dst_region);
-    const tida::Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < this->ncomp(); ++comp) {
-      cuem::san::BoxShape box;
-      box.width = static_cast<std::size_t>(e.i) * sizeof(T);
-      box.height = static_cast<std::size_t>(e.j);
-      box.depth = static_cast<std::size_t>(e.k);
-      const tida::Index3 de = dst.grown.extent();
-      box.row_pitch = static_cast<std::size_t>(de.i) * sizeof(T);
-      box.slice_pitch = box.row_pitch * static_cast<std::size_t>(de.j);
-      cuem::san::note_kernel_box_access(stream, &dst.at(c.dst_box.lo, comp),
-                                        box, /*write=*/true, op);
-      const tida::Index3 se = src.grown.extent();
-      box.row_pitch = static_cast<std::size_t>(se.i) * sizeof(T);
-      box.slice_pitch = box.row_pitch * static_cast<std::size_t>(se.j);
-      cuem::san::note_kernel_box_access(stream, &src.at(c.src_box.lo, comp),
-                                        box, /*write=*/false, op);
     }
   }
 

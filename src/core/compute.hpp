@@ -4,8 +4,9 @@
 // compute(tile..., cost, lambda). The same call runs the lambda over the
 // tile's cells on the CPU (GPU-disabled traversal) or launches a generated
 // kernel on the tile's stream (GPU-enabled traversal). Data pointers are
-// delivered to the lambda as parameters — DeviceViews — which is the
-// paper's §V-A workaround for OpenACC's lambda/deviceptr limitation.
+// delivered to the lambda as parameters — DeviceViews, declared with the
+// array in core/multi_acc_array.hpp — which is the paper's §V-A
+// workaround for OpenACC's lambda/deviceptr limitation.
 //
 // Lambda signature, for N tiles:
 //   [](DeviceView<T0> v0, ..., DeviceView<TN-1> vN-1, int i, int j, int k)
@@ -24,32 +25,6 @@
 #include "sim/platform.hpp"
 
 namespace tidacc::core {
-
-/// Indexable view of one region's buffer (host or device side), carrying
-/// the grown-box layout so lambdas can address cells by global index.
-/// Multi-component arrays use the 4-argument accessor; the component block
-/// stride equals the grown volume (component-major layout).
-template <typename T>
-struct DeviceView {
-  T* data = nullptr;
-  tida::Box grown;
-  int ncomp = 1;
-
-  T& operator()(int i, int j, int k) const {
-    const tida::Index3 rel = tida::Index3{i, j, k} - grown.lo;
-    const tida::Index3 e = grown.extent();
-    return data[(static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
-                rel.i];
-  }
-
-  T& operator()(int i, int j, int k, int c) const {
-    const tida::Index3 rel = tida::Index3{i, j, k} - grown.lo;
-    const tida::Index3 e = grown.extent();
-    return data[static_cast<std::size_t>(c) * grown.volume() +
-                (static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
-                rel.i];
-  }
-};
 
 namespace detail {
 
@@ -149,7 +124,7 @@ void compute_range(const tida::Box& range, const oacc::LoopCost& cost,
 
   p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
                    std::move(action),
-                   p.trace().recording()
+                   op_labels_wanted()
                        ? "C:R" + std::to_string(first.tile.region.id)
                        : std::string());
   // Dirty tracking is conservative: the kernel may write any involved

@@ -122,7 +122,7 @@ int DevicePool::place_prefetch(int region) {
 
 cuemStream_t DevicePool::stream_of_slot(int slot) const {
   TIDACC_CHECK_MSG(slot >= 0 && slot < num_slots(), "slot out of range");
-  return oacc::get_cuem_stream(perm_[static_cast<size_t>(slot)]);
+  return streams_[static_cast<size_t>(slot)];
 }
 
 void* DevicePool::scratch_ptr(int slot) const {

@@ -90,6 +90,9 @@ class DevicePool {
   /// Stream serving a slot (shared process-wide per slot index via the
   /// OpenACC queue map, so sibling arrays pipeline on the same streams).
   /// Subject to the stream permutation installed below (identity default).
+  /// The table is resolved once — at construction, set_stream_permutation
+  /// and restore, each called with the pool's device current — so the
+  /// lookup does not depend on which device is current afterwards.
   cuemStream_t stream_of_slot(int slot) const;
 
   /// True when slots carry a scratch double buffer.

@@ -1,25 +1,34 @@
-// MultiAccTileArray — the multi-GPU tileArray: regions distributed across
-// the platform's simulated devices.
+// MultiAccTileArray — the tile array implementation of TiDA-acc: regions
+// distributed across a set of the platform's simulated devices.
 //
-// Extends tida::TileArray<T> the same way AccTileArray does, but with one
-// DevicePool (+ CacheTable + SlotScheduler) per device: each region has an
-// owning device chosen by a placement policy (block or round-robin), demand
-// acquires and prefetches run the §IV-B4 caching protocol against the
-// owner's pool, and the ghost exchange of §IV-B6 is extended across device
-// boundaries: interior faces whose source and destination live on the same
-// device use the usual device-side update kernels; faces crossing devices
-// travel as peer copies (direct over the interconnect when peer access is
-// enabled, staged D2H+H2D through pinned host memory otherwise). Both reuse
-// the CPU index-list pipelining — the host computes the copy descriptors
-// for region k+1 while device engines work on region k's updates.
+// Extends tida::TileArray<T> with one DevicePool (+ CacheTable +
+// SlotScheduler) per device: each region has an owning device chosen by a
+// placement policy (block or round-robin), demand acquires and prefetches
+// run the caching protocol of §IV-B4 against the owner's pool (on-demand
+// transfers, eviction through shared slots, per-slot streams), and the
+// dual-path ghost exchange of §IV-B6 is extended across device boundaries:
+// host-side exchange when data lives on the host; device-side update
+// kernels with CPU index computation when it lives on the device. Faces
+// whose source and destination live on different devices travel as peer
+// copies (direct over the interconnect when peer access is enabled,
+// staged D2H+H2D through pinned host memory otherwise). Both reuse the CPU
+// index-list pipelining — the host computes the copy descriptors for
+// region k+1 while device engines work on region k's updates.
 //
-// With one device this class reproduces AccTileArray's operation sequence
-// bit-for-bit (same streams, same transfers, same kernels, same trace) —
-// the golden-trace equality test in tests/test_multi_gpu.cpp pins that.
+// Access protocol (paper §III "caching"):
+//   * acquire_on_device(r): makes region r usable by kernels; queues the
+//     needed async transfers on r's slot stream and returns the device
+//     pointer. Never blocks the host.
+//   * acquire_on_host(r): makes region r readable/writable on the host;
+//     blocks (cuemStreamSynchronize) if a device→host transfer is needed,
+//     because the caller touches the data immediately (§IV-B3).
+//
+// AccTileArray (core/acc_tile_array.hpp) is the one-device case with the
+// paper's §V interface; ClusterTileArray adds node sharding and the wire
+// exchange on top.
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -28,8 +37,6 @@
 
 #include "common/error.hpp"
 #include "common/inject.hpp"
-#include "core/acc_tile_array.hpp"
-#include "core/compute.hpp"
 #include "core/device_pool.hpp"
 #include "core/dirty_tracker.hpp"
 #include "cuem/cuem.hpp"
@@ -39,6 +46,71 @@
 #include "tida/tile_array.hpp"
 
 namespace tidacc::core {
+
+/// How fill_boundary picks between the streaming (delta) exchange and the
+/// drain-to-host exchange in the out-of-core regime.
+///   kAuto           — consult the exchange-level cost model each time:
+///                     stream only when the predicted pitched-copy cost
+///                     (latency + chunk overhead per shell box) beats the
+///                     predicted drain cost. Default.
+///   kForceStreaming — always stream (ablation / tests pinning the path).
+///   kForceDrain     — never stream; drain and exchange on the host.
+enum class StreamingGuard : int { kAuto = 0, kForceStreaming, kForceDrain };
+
+/// Transfer compression policy for the host<->device link (and, through
+/// ClusterOptions, the inter-node wire).
+///   kOff  — every transfer moves raw bytes. Default; reproduces the
+///           uncompressed transfer timings bit-for-bit.
+///   kOn   — every eligible transfer runs through the codec, paying
+///           encode + decode while only the shrunken payload crosses the
+///           link (DeviceConfig::codec prices both stages).
+///   kAuto — per-transfer cost model: compress exactly when the modeled
+///           encode + wire-at-ratio + decode time beats the raw wire time
+///           for this payload size, kind and link rate.
+/// Prefetches always move raw: they ride a dedicated early-upload path
+/// whose whole point is hiding wire time under compute, so shrinking the
+/// wire buys nothing while the codec stages would delay the hint.
+enum class Compression : int { kOff = 0, kOn = 1, kAuto = 2 };
+
+/// Construction options shared by every tile array (AccTileArray takes
+/// them directly; MultiAccOptions adds the device set).
+struct AccOptions {
+  tida::HostAlloc host_alloc = tida::HostAlloc::kPinned;
+  /// Cap on device slots, per device; used by the limited-memory
+  /// experiments (Fig. 8) to emulate a device that only holds N regions.
+  int max_slots = std::numeric_limits<int>::max();
+  /// Disables the paper's caching (§IV-B4): every device acquire re-uploads
+  /// even when the region is already resident. Ablation-only switch — shows
+  /// what the cache table is worth.
+  bool disable_caching = false;
+  /// Components per cell (BoxLib-style multi-component arrays).
+  int ncomp = 1;
+  /// Region→slot scheduling policy within each device's pool. The default
+  /// reproduces the paper's static region % num_slots mapping bit-for-bit;
+  /// kLru/kBeladyOracle place regions dynamically (out-of-core eviction
+  /// policies).
+  SlotPolicyKind slot_policy = SlotPolicyKind::kStaticModulo;
+  /// Enables dirty-region tracking and delta transfers: acquires,
+  /// evictions, and the out-of-core ghost exchange ship only the boxes one
+  /// side has written since the copies last agreed, as pitched
+  /// cuemMemcpy3DAsync copies, falling back to one flat copy when that is
+  /// both safe and modeled cheaper. Off by default — the seed's
+  /// whole-region transfer shapes are reproduced exactly.
+  bool delta_transfers = false;
+  /// Streaming-vs-drain dispatch for the out-of-core ghost exchange (only
+  /// consulted when delta_transfers is on and not every region fits).
+  StreamingGuard streaming_guard = StreamingGuard::kAuto;
+  /// Temporal blocking depth: number of stencil sub-steps compute_k() runs
+  /// per residency. 1 (default) allocates nothing extra and reproduces the
+  /// seed's behaviour bit-for-bit; k > 1 gives every slot a scratch double
+  /// buffer and deepens the prefetch hint to k. The array must then be
+  /// built with ghost = k * stencil_radius (see choose_time_block_k).
+  int time_block_k = 1;
+  /// Codec policy for this array's host<->device transfers (flat region
+  /// copies and pitched delta copies; prefetches stay raw). kOff keeps the
+  /// transfer timings bit-identical to an uncompressed build.
+  Compression compression = Compression::kOff;
+};
 
 /// Region→device placement policy.
 ///   kBlock:      contiguous chunks (region r on device r / ceil(R/N)) —
@@ -53,32 +125,44 @@ const char* to_string(DevicePlacement p);
 /// Parses "block" / "round-robin" (also "rr", "roundrobin").
 DevicePlacement parse_placement(const std::string& s);
 
-/// Construction options for MultiAccTileArray.
-struct MultiAccOptions {
-  tida::HostAlloc host_alloc = tida::HostAlloc::kPinned;
+/// Construction options for MultiAccTileArray: the shared AccOptions plus
+/// the device set (AccOptions::max_slots caps each device's pool).
+struct MultiAccOptions : AccOptions {
   /// Number of devices to distribute over; 0 means every device the
   /// platform exposes. Must not exceed cuemGetDeviceCount.
   int devices = 0;
   DevicePlacement placement = DevicePlacement::kBlock;
-  /// Cap on device slots per device (limited-memory experiments).
-  int max_slots_per_device = std::numeric_limits<int>::max();
-  /// Components per cell.
-  int ncomp = 1;
-  /// Region→slot scheduling policy within each device's pool.
-  SlotPolicyKind slot_policy = SlotPolicyKind::kStaticModulo;
-  /// Enables dirty-region tracking and delta transfers, exactly as
-  /// AccOptions::delta_transfers does for the single-device array.
-  bool delta_transfers = false;
-  /// Streaming-vs-drain dispatch for the out-of-core ghost exchange (see
-  /// AccOptions::streaming_guard).
-  StreamingGuard streaming_guard = StreamingGuard::kAuto;
-  /// Temporal blocking depth (see AccOptions::time_block_k): k > 1 gives
-  /// every slot on every device a scratch double buffer and deepens the
-  /// prefetch hint.
-  int time_block_k = 1;
-  /// Codec policy for host<->device transfers (see AccOptions::compression).
-  Compression compression = Compression::kOff;
 };
+
+/// The raw-vs-compressed decision for one transfer of `bytes` logical
+/// payload over a link of `gbps` carrying `codec`, under `policy` — shared
+/// by the host<->device hops and the inter-node wire. kAuto mirrors the
+/// link's compressed-transfer pricing exactly: setup and latency are
+/// identical on both paths, so the comparison reduces to the codec stages
+/// plus the shrunken wire against the raw wire.
+inline bool use_codec(Compression policy, const sim::CodecConfig& codec,
+                      std::uint64_t bytes, sim::PayloadKind payload,
+                      double gbps) {
+  if (policy == Compression::kOff || bytes == 0) {
+    return false;
+  }
+  if (policy == Compression::kOn) {
+    return true;
+  }
+  return codec.codec_time_ns(bytes) +
+             transfer_time_ns(codec.wire_bytes(bytes, payload), gbps) <
+         transfer_time_ns(bytes, gbps);
+}
+
+/// True when per-op label strings have a reader — the trace records full
+/// events, a schedule-analysis OpGraph is attached, or the sanitizer names
+/// its findings by op — so the hot paths build them only then (the fuzz
+/// and benchmark loops turn recording off).
+inline bool op_labels_wanted() {
+  sim::Platform& p = sim::Platform::instance();
+  return p.trace().recording() || p.op_graph() != nullptr ||
+         cuem::san::enabled();
+}
 
 template <typename T>
 class MultiAccTileArray : public tida::TileArray<T> {
@@ -92,6 +176,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
         dirty_(this->num_regions()),
         pending_xfer_(static_cast<std::size_t>(this->num_regions()), -1),
         placement_(opts.placement),
+        disable_caching_(opts.disable_caching),
         delta_transfers_(opts.delta_transfers),
         streaming_guard_(opts.streaming_guard),
         time_block_k_(opts.time_block_k),
@@ -138,9 +223,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
       cuem::DeviceGuard guard(d);
       shard(d).pool = std::make_unique<DevicePool>(
           slot_bytes, static_cast<int>(shard(d).regions.size()),
-          opts.max_slots_per_device, make_slot_policy(opts.slot_policy),
+          opts.max_slots, make_slot_policy(opts.slot_policy),
           /*with_scratch=*/opts.time_block_k > 1);
       if (opts.time_block_k > 1) {
+        // A k-deep residency spans k kernel launches; let the prefetcher
+        // run as many regions ahead so the copy engine stays busy.
         shard(d).pool->scheduler().set_prefetch_depth(opts.time_block_k);
       }
     }
@@ -201,18 +288,19 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return false;
   }
 
-  /// Scratch device pointer backing `region`'s slot on its owning device.
+  /// Device pointer of the scratch buffer backing `region`'s slot on its
+  /// owning device — the write target of compute_k's odd sub-steps.
+  /// Requires has_scratch().
   T* scratch_of_region(int region) {
-    const int dev = owner_[checked(region)];
-    const DevicePool& pool = pool_of(dev);
+    const DevicePool& pool = owner_pool(region);
     return static_cast<T*>(pool.scratch_ptr(
         pool.slot_of_region(local_[static_cast<std::size_t>(region)])));
   }
 
-  /// Swaps `region`'s slot primary/scratch pointers (see AccTileArray).
+  /// Swaps `region`'s slot primary/scratch pointers after a sub-step wrote
+  /// the scratch buffer (no device copy — pointer bookkeeping only).
   void swap_region_buffers(int region) {
-    const int dev = owner_[checked(region)];
-    DevicePool& pool = *shard(dev).pool;
+    DevicePool& pool = owner_pool(region);
     pool.swap_slot_buffers(
         pool.slot_of_region(local_[static_cast<std::size_t>(region)]));
   }
@@ -224,6 +312,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
                      "device ordinal out of range");
     TIDACC_CHECK_MSG(shards_[static_cast<std::size_t>(device)].pool != nullptr,
                      "device owns no regions");
+    // The pool resolves its new stream table on the current device.
     cuem::DeviceGuard guard(device);
     shards_[static_cast<std::size_t>(device)].pool->set_stream_permutation(
         perm);
@@ -231,15 +320,14 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   /// Stream serving a region's slot, on the owning device.
   cuemStream_t stream_of_region(int region) const {
-    const int dev = owner_[checked(region)];
-    cuem::DeviceGuard guard(dev);
-    const DevicePool& pool = pool_of(dev);
+    const DevicePool& pool = owner_pool(region);
     return pool.stream_of_slot(
         pool.slot_of_region(local_[static_cast<std::size_t>(region)]));
   }
 
-  /// Installs the recorded future region-access order (global ids) for the
-  /// BeladyOracle policy, splitting it into each device's local sequence.
+  /// Installs the recorded future region-access order (global ids, one
+  /// entry per demand acquire) for the BeladyOracle policy, splitting it
+  /// into each device's local sequence; other policies ignore it.
   void set_future_accesses(std::vector<int> sequence) {
     for (int d = 0; d < num_devices_; ++d) {
       if (!shard(d).pool) {
@@ -258,8 +346,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Last-access location of a region.
   Loc location(int region) const { return loc_.location(region); }
 
-  /// Fills valid cells on the host (records host ownership, as
-  /// AccTileArray::fill does).
+  /// Fills valid cells on the host (hides Base::fill to record that every
+  /// region now has authoritative host data).
   template <typename Fn>
   void fill(Fn&& fn) {
     sync_all_pending_host();
@@ -268,6 +356,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     assume_host_initialized();
   }
 
+  /// Per-component fill; same host-ownership bookkeeping as fill().
   template <typename Fn>
   void fill_components(Fn&& fn) {
     sync_all_pending_host();
@@ -276,7 +365,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
     assume_host_initialized();
   }
 
-  /// Timing-only-mode stand-in for fill().
+  /// Declares that host buffers hold meaningful data without writing them —
+  /// the timing-only-mode stand-in for fill(), so transfer shapes match
+  /// functional runs.
   void assume_host_initialized() {
     for (int r = 0; r < this->num_regions(); ++r) {
       loc_.set(r, Loc::kHost);
@@ -286,7 +377,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Host cell access under the access protocol (see AccTileArray::at).
+  /// Host cell access (hides Base::at to enforce the access protocol: the
+  /// region must not be device-current — call acquire_on_host first). The
+  /// returned reference may be written, so the host becomes the
+  /// authoritative side.
   T& at(const tida::Index3& cell) {
     const int id = this->partition().region_of_cell(cell);
     TIDACC_CHECK_MSG(id >= 0, "cell outside the domain");
@@ -308,10 +402,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Device-side view of `region` laid out in its slot buffer on the
-  /// owning device.
+  /// owning device (valid whether or not the region is currently
+  /// resident).
   tida::Region<T> device_region(int region) const {
-    const int dev = owner_[checked(region)];
-    const DevicePool& pool = pool_of(dev);
+    const DevicePool& pool = owner_pool(region);
     tida::Region<T> r = this->region(region);
     r.data = static_cast<T*>(pool.slot_ptr(
         pool.slot_of_region(local_[static_cast<std::size_t>(region)])));
@@ -320,12 +414,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   // --- the caching protocol (per-device pools) ---
 
-  /// AccTileArray::acquire_on_device against the owner's pool: resident →
-  /// refresh if the host touched it since; else evict a slot-sharing victim
-  /// (its D2H stream-ordered before the newcomer's H2D) and upload.
+  /// Ensures region `region` is resident and current on its owning device;
+  /// returns its device pointer. The slot comes from the owner's scheduler
+  /// (resident slot, else a policy-chosen victim); transfers (and the
+  /// eviction of a slot-sharing victim) are queued asynchronously on the
+  /// slot's stream.
   T* acquire_on_device(int region) {
     const int dev = owner_[checked(region)];
-    cuem::DeviceGuard guard(dev);
     DevicePool& pool = *shard(dev).pool;
     const int lr = local_[static_cast<std::size_t>(region)];
     const int slot = pool.place_region(lr);
@@ -334,6 +429,14 @@ class MultiAccTileArray : public tida::TileArray<T> {
     T* dev_ptr = static_cast<T*>(pool.slot_ptr(slot));
 
     if (cache.resident(slot) == lr) {
+      // Cache hit; if the host touched it since, refresh the device copy.
+      // With caching disabled (ablation) the data round-trips on every
+      // acquire — D2H then H2D, the per-kernel-clause behaviour a runtime
+      // without the cache table would exhibit.
+      if (disable_caching_ && loc_.location(region) == Loc::kDevice) {
+        drain_device(region, dev_ptr, stream);
+        loc_.set(region, Loc::kHost);
+      }
       if (loc_.location(region) == Loc::kHost) {
         refresh_device(region, dev_ptr, stream);
       }
@@ -342,22 +445,16 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
 
     const bool needs_upload = loc_.location(region) == Loc::kHost;
-
-    if (cache.resident(slot) != -1) {
-      const int victim =
-          shard(dev).regions[static_cast<std::size_t>(cache.resident(slot))];
-      if (loc_.location(victim) == Loc::kDevice) {
-        drain_device(victim, dev_ptr, stream);
-        loc_.set(victim, Loc::kHost);
-      }
-      cache.evict(slot);
-    }
+    evict_resident(dev, slot, dev_ptr, stream);
 
     // A miss leaves no device copy to delta against: the flat upload (or
     // the absent upload of a kUninit region) re-baselines both sides.
     if (delta_transfers_) {
       dirty_.reset(region);
     }
+    // No H2D for a region whose host side never produced data (kUninit):
+    // there is nothing meaningful to upload. Output arrays of Jacobi-style
+    // solvers hit this path and save half the upload traffic.
     if (needs_upload) {
       order_after_pending(region, stream);
       copy_region(dev_ptr, this->region(region).data, region,
@@ -368,30 +465,29 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return dev_ptr;
   }
 
-  /// AccTileArray::prefetch_to_device against the owner's pool. Returns
-  /// false when nothing was queued.
+  /// Queues the asynchronous H2D bringing `region` into a policy-chosen
+  /// slot of its owner *ahead* of its demand acquire, so the transfer
+  /// overlaps the kernels still running on other slots (out-of-core
+  /// pipelining). Never blocks the host. The receiving slot stays pinned —
+  /// protected from eviction — until a demand acquire consumes the region.
+  /// Returns false when nothing was queued: the region is already
+  /// resident, caching is disabled, every slot is pinned, or the static
+  /// mapping lands on a slot holding another in-flight prefetch (skipped
+  /// rather than evicted).
   bool prefetch_to_device(int region) {
+    if (disable_caching_) {
+      return false;
+    }
     const int dev = owner_[checked(region)];
-    cuem::DeviceGuard guard(dev);
     DevicePool& pool = *shard(dev).pool;
     const int lr = local_[static_cast<std::size_t>(region)];
     const int slot = pool.place_prefetch(lr);
     if (slot < 0) {
       return false;
     }
-    CacheTable& cache = pool.cache();
     const cuemStream_t stream = pool.stream_of_slot(slot);
     T* dev_ptr = static_cast<T*>(pool.slot_ptr(slot));
-
-    if (cache.resident(slot) != -1) {
-      const int victim =
-          shard(dev).regions[static_cast<std::size_t>(cache.resident(slot))];
-      if (loc_.location(victim) == Loc::kDevice) {
-        drain_device(victim, dev_ptr, stream);
-        loc_.set(victim, Loc::kHost);
-      }
-      cache.evict(slot);
-    }
+    evict_resident(dev, slot, dev_ptr, stream);
 
     // Like a demand miss, the prefetch upload is a full flat transfer that
     // re-baselines the dirty bookkeeping.
@@ -400,27 +496,33 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
     if (loc_.location(region) == Loc::kHost) {
       order_after_pending(region, stream);
-      CUEM_CHECK(cuem::prefetch_h2d_async(dev_ptr, this->region(region).data,
-                                          this->region_bytes(region), stream,
-                                          "P:R" + std::to_string(region)));
+      CUEM_CHECK(cuem::prefetch_h2d_async(
+          dev_ptr, this->region(region).data, this->region_bytes(region),
+          stream,
+          op_labels_wanted() ? "P:R" + std::to_string(region)
+                             : std::string()));
       pending_xfer_[static_cast<std::size_t>(region)] = stream;
       xfer_.h2d_bytes += this->region_bytes(region);
       xfer_.h2d_wire_bytes += this->region_bytes(region);
       ++xfer_.prefetch_ops;
       ++prefetches_issued_;
     }
-    cache.set(slot, lr);
+    pool.cache().set(slot, lr);
     loc_.set(region, Loc::kDevice);
     return true;
   }
 
+  /// Number of prefetch transfers issued so far.
   std::uint64_t prefetches_issued() const { return prefetches_issued_; }
 
-  /// Makes the host copy of `region` current; blocks on the transfer.
+  /// Ensures the host copy of `region` is current. Blocks until the
+  /// transfer completes when one is needed (§IV-B3: the caller may touch
+  /// the data right after the request).
   void acquire_on_host(int region) {
     if (loc_.location(region) != Loc::kDevice) {
-      // The caller is about to read or write host data; an earlier eviction
-      // may have left an async D2H in flight into this buffer — wait first.
+      // The caller is about to read or write host data; either way the host
+      // now holds the authoritative copy. An earlier eviction may have left
+      // an async D2H in flight into this buffer — wait for it first.
       sync_pending_host(region);
       cuem::san::note_host_access(this->region(region).data,
                                   this->region_bytes(region),
@@ -428,14 +530,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
       set_host_authoritative(region);
       return;
     }
-    const int dev = owner_[checked(region)];
-    cuem::DeviceGuard guard(dev);
-    DevicePool& pool = *shard(dev).pool;
-    const int lr = local_[static_cast<std::size_t>(region)];
-    const int slot = pool.slot_of_region(lr);
+    const DevicePool& pool = owner_pool(region);
+    const int slot = resident_slot(region);
     const cuemStream_t stream = pool.stream_of_slot(slot);
-    TIDACC_CHECK_MSG(pool.cache().resident(slot) == lr,
-                     "region marked on-device but not resident");
     if (pending_xfer_[static_cast<std::size_t>(region)] >= 0 &&
         pending_xfer_[static_cast<std::size_t>(region)] != stream) {
       // A stale transfer on another stream (the region migrated slots) still
@@ -451,11 +548,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
     set_host_authoritative(region);
   }
 
-  /// Brings every device-held region home and waits. All downloads are
-  /// queued first — pipelined across every device's slot streams — then
-  /// each stream is synchronized exactly once (same batching as
-  /// AccTileArray::release_all_to_host, so the 1-device traces stay
-  /// identical).
+  /// Brings every device-held region home and waits (end-of-run helper).
+  /// All downloads are queued first — pipelined across every device's slot
+  /// streams — and each stream is synchronized exactly once, instead of
+  /// the one blocking round-trip per region a loop of acquire_on_host
+  /// would pay.
   void release_all_to_host() {
     StreamSyncList streams;
     for (int r = 0; r < this->num_regions(); ++r) {
@@ -471,13 +568,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
         set_host_authoritative(r);
         continue;
       }
-      const int dev = owner_[checked(r)];
-      cuem::DeviceGuard guard(dev);
-      DevicePool& pool = *shard(dev).pool;
-      const int lr = local_[static_cast<std::size_t>(r)];
-      const int slot = pool.slot_of_region(lr);
-      TIDACC_CHECK_MSG(pool.cache().resident(slot) == lr,
-                       "region marked on-device but not resident");
+      const DevicePool& pool = owner_pool(r);
+      const int slot = resident_slot(r);
       const cuemStream_t stream = pool.stream_of_slot(slot);
       drain_device(r, static_cast<T*>(pool.slot_ptr(slot)), stream);
       streams.add(stream);
@@ -491,10 +583,13 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  // --- distributed ghost exchange (paper §IV-B6, extended across devices)
+  // --- ghost exchange (paper §IV-B6, extended across devices) ---
 
-  /// Refreshes all ghost cells, dispatching by data location exactly as
-  /// AccTileArray::fill_boundary does.
+  /// Refreshes all ghost cells. Dispatches by data location: pure host
+  /// exchange when everything was last touched on the host; device-side
+  /// update kernels (with pipelined CPU index computation) when the data
+  /// lives on the device and every region fits; otherwise the streaming
+  /// exchange or a host exchange after draining the devices.
   void fill_boundary(tida::Boundary bc) {
     if (!loc_.any_on_device()) {
       sync_all_pending_host();
@@ -510,59 +605,44 @@ class MultiAccTileArray : public tida::TileArray<T> {
         (streaming_guard_ == StreamingGuard::kForceStreaming ||
          (streaming_guard_ == StreamingGuard::kAuto &&
           streaming_cheaper(bc)))) {
+      // Mixed/limited-memory with dirty tracking: exchange the shells only —
+      // but only when the exchange-level cost model says the pitched-copy
+      // latency storm actually beats one pipelined drain (periodic BCs on
+      // slab partitions generate hundreds of tiny wrap faces per exchange,
+      // each paying the full transfer-setup latency).
       fill_boundary_streaming(bc);
       return;
     }
+    // Mixed/limited-memory: drain to host and exchange there.
     release_all_to_host();
     note_host_buffers("fill_boundary_host");
     this->fill_boundary_host(bc);
   }
 
-  /// Out-of-core ghost exchange without the full drain (delta mode only) —
-  /// the multi-device mirror of AccTileArray::fill_boundary_streaming:
-  /// pull only the device-written source cells the plan reads, exchange on
-  /// the host, eagerly push the freshened ghost boxes back to resident
-  /// regions on their owners' slot streams.
+  /// Out-of-core ghost exchange without the full drain (delta mode only):
+  /// pulls just the device-written source cells the plan reads (at most the
+  /// face shells) down per resident region, runs the host-side exchange,
+  /// then eagerly pushes each resident region's freshened ghost boxes back
+  /// up on its owner's slot stream — pipelined, with no trailing sync
+  /// (stream order protects later kernels). Regions keep their device
+  /// residency and location throughout, so the next compute pass pays no
+  /// re-upload.
   void fill_boundary_streaming(tida::Boundary bc) {
     TIDACC_CHECK_MSG(delta_transfers_,
                      "streaming exchange requires delta_transfers");
     const auto& plan = this->exchange_plan(bc);
 
-    std::vector<std::vector<tida::Box>> pulls(
-        static_cast<std::size_t>(this->num_regions()));
-    for (const auto& c : plan) {
-      if (loc_.location(c.src_region) != Loc::kDevice) {
-        continue;
-      }
-      auto& list = pulls[static_cast<std::size_t>(c.src_region)];
-      for (const tida::Box& d : dirty_.dev_dirty(c.src_region)) {
-        const tida::Box x = d.intersect(c.src_box);
-        if (x.empty()) {
-          continue;
-        }
-        std::vector<tida::Box> fresh = tida::subtract_box(x, list);
-        list.insert(list.end(), fresh.begin(), fresh.end());
-      }
-    }
+    // Phase 1: per source region, the planned source cells the device has
+    // written since the copies last agreed — only those must come home.
+    const std::vector<std::vector<tida::Box>> pulls = streaming_pulls(plan);
     StreamSyncList streams;
     for (int r = 0; r < this->num_regions(); ++r) {
       const auto& list = pulls[static_cast<std::size_t>(r)];
       if (list.empty()) {
         continue;
       }
-      const int dev = owner_[checked(r)];
-      // stream_of_slot resolves its queue id against the *current* device;
-      // without the guard a pull for this region would land on whichever
-      // device was selected last — unordered with the region's own slot
-      // stream (and the prefetch/eviction transfers already queued on it).
-      cuem::DeviceGuard guard(dev);
-      const DevicePool& pool = pool_of(dev);
-      const int slot =
-          pool.slot_of_region(local_[static_cast<std::size_t>(r)]);
-      TIDACC_CHECK_MSG(pool.cache().resident(slot) ==
-                           local_[static_cast<std::size_t>(r)],
-                       "region marked on-device but not resident");
-      const cuemStream_t stream = pool.stream_of_slot(slot);
+      const cuemStream_t stream =
+          owner_pool(r).stream_of_slot(resident_slot(r));
       copy_boxes(r, list, cuemMemcpyDeviceToHost, stream,
                  sim::PayloadKind::kFaceShell);
       for (const tida::Box& b : list) {
@@ -577,12 +657,17 @@ class MultiAccTileArray : public tida::TileArray<T> {
     // below would race them.
     sync_all_pending_host();
 
+    // Phase 2: exchange on the host. The freshened ghost boxes are host
+    // writes the device copies have not seen yet.
     note_host_buffers("fill_boundary_streaming");
     this->fill_boundary_host(bc);
     for (const auto& c : plan) {
       dirty_.note_host_write(c.dst_region, c.dst_box);
     }
 
+    // Phase 3: eagerly push every resident device-current region's
+    // host-dirty boxes (the ghost shells phase 2 wrote) back up. Non-
+    // resident regions keep theirs until their next acquire.
     for (int r = 0; r < this->num_regions(); ++r) {
       if (loc_.location(r) != Loc::kDevice) {
         continue;
@@ -601,141 +686,48 @@ class MultiAccTileArray : public tida::TileArray<T> {
   /// Number of streaming (delta) ghost exchanges performed so far.
   std::uint64_t streaming_exchanges() const { return streaming_exchanges_; }
 
-  /// Device-side exchange across all devices: `acc wait`, then per
-  /// destination region the CPU computes the index lists while the device
-  /// engines apply the previous region's updates. Faces whose source lives
-  /// on the same device go into one update kernel on the destination's
-  /// stream; faces crossing devices are issued as stream-ordered peer
-  /// copies (direct interconnect when peer access is enabled, staged
-  /// through pinned host memory otherwise).
+  /// Device-side exchange across all devices: `acc wait`, then the device
+  /// ghost-update loop (see exchange_device_faces).
   void fill_boundary_device(tida::Boundary bc) {
     for (int r = 0; r < this->num_regions(); ++r) {
       acquire_on_device(r);
     }
     oacc::wait_all();
-
-    sim::Platform& p = sim::Platform::instance();
-    const auto& plan = this->exchange_plan(bc);
-    std::size_t begin = 0;
-    while (begin < plan.size()) {
-      // The plan is grouped by destination region.
-      const int dst = plan[begin].dst_region;
-      const int dst_dev = owner_[static_cast<std::size_t>(dst)];
-      std::size_t end = begin;
-      std::uint64_t local_cells = 0;
-      while (end < plan.size() && plan[end].dst_region == dst) {
-        if (owner_[static_cast<std::size_t>(plan[end].src_region)] ==
-            dst_dev) {
-          local_cells += plan[end].dst_box.volume();
-        }
-        ++end;
-      }
-
-      // CPU index computation covers the whole group — intra-device and
-      // peer faces alike ride the same pipelined descriptors (Fig. 4).
-      p.host_advance(static_cast<SimTime>(end - begin) *
-                     p.config().host_index_calc_ns_per_copy);
-
-      const cuemStream_t dstream = stream_of_region(dst);
-
-      if (local_cells > 0) {
-        sim::KernelProfile prof;
-        prof.elements = local_cells * this->ncomp();
-        prof.dev_bytes_per_element = 2.0 * sizeof(T);
-        prof.flops_per_element = 0.0;
-        prof.tuned_geometry = false;  // OpenACC-generated update kernel
-
-        auto action = [this, bc, dst_dev, begin, end]() {
-          const auto& pl = this->exchange_plan(bc);
-          for (std::size_t c = begin; c < end; ++c) {
-            if (owner_[static_cast<std::size_t>(pl[c].src_region)] ==
-                dst_dev) {
-              apply_copy_device(pl[c]);
-            }
-          }
-        };
-        p.enqueue_kernel(dstream, prof, p.config().oacc_dispatch_extra_ns,
-                         std::move(action), "ghost:R" + std::to_string(dst));
-        ++device_ghost_updates_;
-      }
-
-      for (std::size_t c = begin; c < end; ++c) {
-        const tida::GhostCopy& gc = plan[c];
-        const int src_dev = owner_[static_cast<std::size_t>(gc.src_region)];
-        if (src_dev == dst_dev) {
-          continue;
-        }
-        const std::uint64_t bytes =
-            gc.dst_box.volume() * this->ncomp() * sizeof(T);
-        auto action = [this, bc, c]() {
-          apply_copy_device(this->exchange_plan(bc)[c]);
-        };
-        CUEM_CHECK(cuem::peer_copy_async(
-            dst_dev, src_dev, bytes, dstream,
-            "G:R" + std::to_string(gc.src_region) + ">R" +
-                std::to_string(dst),
-            std::move(action)));
-        ++peer_ghost_copies_;
-      }
-      if (cuem::san::enabled()) {
-        const std::string op = "ghost:R" + std::to_string(dst);
-        for (std::size_t c = begin; c < end; ++c) {
-          note_ghost_copy_access(dstream, plan[c], op.c_str());
-        }
-      }
-      for (std::size_t c = begin; c < end; ++c) {
-        note_device_write(dst, plan[c].dst_box);
-      }
-      // Stream order protects the *destination*; the sources sit on other
-      // streams (possibly other devices). Record an event after this
-      // group's update kernel and peer copies and make each source stream
-      // wait, so later kernels there cannot overwrite cells still being
-      // read (mirrors AccTileArray::fill_boundary_device exactly).
-      std::vector<cuemStream_t> src_streams;
-      for (std::size_t c = begin; c < end; ++c) {
-        const cuemStream_t s = stream_of_region(plan[c].src_region);
-        if (s != dstream &&
-            std::find(src_streams.begin(), src_streams.end(), s) ==
-                src_streams.end()) {
-          src_streams.push_back(s);
-        }
-      }
-      if (!src_streams.empty()) {
-        cuemEvent_t ev = 0;
-        CUEM_CHECK(cuemEventCreate(&ev));
-        CUEM_CHECK(cuemEventRecord(ev, dstream));
-        for (const cuemStream_t s : src_streams) {
-          CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
-        }
-        CUEM_CHECK(cuemEventDestroy(ev));
-      }
-      begin = end;
-    }
+    exchange_device_faces(bc, /*nodes=*/1);
   }
 
+  /// Number of device-side ghost-update kernels launched so far.
   std::uint64_t device_ghost_updates() const { return device_ghost_updates_; }
 
   /// Number of cross-device ghost transfers issued so far (direct or
   /// host-staged, depending on peer access).
   std::uint64_t peer_ghost_copies() const { return peer_ghost_copies_; }
 
-  // --- dirty tracking / delta transfers (see AccTileArray) ---
+  // --- dirty tracking / delta transfers ---
 
+  /// Whether delta transfers were enabled at construction.
   bool delta_transfers() const { return delta_transfers_; }
+
+  /// The per-region dirty-box bookkeeping (empty lists when delta
+  /// transfers are off).
   const DirtyTracker& dirty() const { return dirty_; }
+
+  /// Cumulative host↔device traffic of this array, split by transfer shape.
   const TransferAccounting& transfers() const { return xfer_; }
   std::uint64_t h2d_bytes() const { return xfer_.h2d_bytes; }
   std::uint64_t d2h_bytes() const { return xfer_.d2h_bytes; }
 
-  /// Records that a device kernel wrote `box` of `region`; no-op unless
-  /// delta transfers are on.
+  /// Records that a device kernel wrote `box` of `region` (grown-box
+  /// coordinates) — compute() calls this for every GPU tile it launches.
+  /// No-op unless delta transfers are on.
   void note_device_write(int region, const tida::Box& box) {
     if (delta_transfers_) {
       dirty_.note_device_write(region, box);
     }
   }
 
-  /// Records a host-side write into `box` of `region`.
+  /// Records a host-side write into `box` of `region`. No-op unless delta
+  /// transfers are on.
   void note_host_write(int region, const tida::Box& box) {
     if (delta_transfers_) {
       dirty_.note_host_write(region, box);
@@ -744,17 +736,18 @@ class MultiAccTileArray : public tida::TileArray<T> {
 
   // --- snapshot (see docs/FUZZING.md) ---
 
-  /// Snapshot of the distributed protocol state: every shard's pool
-  /// bookkeeping plus the global location/dirty/pending/accounting tables.
-  /// Buffer contents ride in the cuem snapshot; restore requires an array
-  /// of identical geometry, placement and options — the multi-device
-  /// mirror of AccTileArray::capture, so the schedule fuzzer can explore
-  /// multi-device schedules from one warm snapshot.
+  /// Snapshot of the protocol state: every shard's pool bookkeeping plus
+  /// the location/dirty/pending/accounting tables. Buffer *contents* (host
+  /// and device) live in cuem-registered allocations and ride in the cuem
+  /// snapshot; restore requires an array of identical geometry, placement
+  /// and options, so the schedule fuzzer can explore schedules from one
+  /// warm snapshot.
   void capture(sim::SnapshotWriter& w) const {
     w.section("multi_acc_tile_array");
     w.put_int(this->num_regions());
     w.put_int(num_devices_);
     w.put_int(static_cast<int>(placement_));
+    w.put_bool(disable_caching_);
     w.put_bool(delta_transfers_);
     w.put_int(static_cast<int>(streaming_guard_));
     w.put_int(time_block_k_);
@@ -784,6 +777,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
                      "array snapshot has a different device count");
     TIDACC_CHECK_MSG(static_cast<DevicePlacement>(r.get_int()) == placement_,
                      "array snapshot disagrees on placement");
+    TIDACC_CHECK_MSG(r.get_bool() == disable_caching_,
+                     "array snapshot disagrees on disable_caching");
     TIDACC_CHECK_MSG(r.get_bool() == delta_transfers_,
                      "array snapshot disagrees on delta_transfers");
     TIDACC_CHECK_MSG(static_cast<StreamingGuard>(r.get_int()) ==
@@ -798,6 +793,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
       TIDACC_CHECK_MSG((r.get_int() != 0) == (s.pool != nullptr),
                        "array snapshot disagrees on device shard layout");
       if (s.pool) {
+        // The pool re-resolves its stream table on the current device.
         cuem::DeviceGuard guard(d);
         s.pool->restore(r);
       }
@@ -816,9 +812,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
  protected:
-  // Protected rather than private: ClusterTileArray extends the exchange
-  // across simulated nodes and reuses the pools, location/dirty tracking
-  // and copy plumbing wholesale.
+  // Protected rather than private: AccTileArray exposes the one pool's
+  // slot view, and ClusterTileArray extends the exchange across simulated
+  // nodes reusing the pools, location/dirty tracking and copy plumbing.
   struct DeviceShard {
     std::unique_ptr<DevicePool> pool;
     std::vector<int> regions;  ///< global region ids, in local order
@@ -836,15 +832,184 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return *s.pool;
   }
 
+  const DevicePool& owner_pool(int region) const {
+    return *shards_[static_cast<std::size_t>(owner_[checked(region)])].pool;
+  }
+  DevicePool& owner_pool(int region) {
+    return *shards_[static_cast<std::size_t>(owner_[checked(region)])].pool;
+  }
+
+  /// Slot holding a region the location table says is device-current.
+  int resident_slot(int region) const {
+    const DevicePool& pool = owner_pool(region);
+    const int lr = local_[static_cast<std::size_t>(region)];
+    const int slot = pool.slot_of_region(lr);
+    TIDACC_CHECK_MSG(pool.cache().resident(slot) == lr,
+                     "region marked on-device but not resident");
+    return slot;
+  }
+
   std::size_t checked(int region) const {
     TIDACC_CHECK_MSG(region >= 0 && region < this->num_regions(),
                      "region id out of range");
     return static_cast<std::size_t>(region);
   }
 
+  /// Host-side index bookkeeping for `copies` planned copies. Each of
+  /// `nodes` nodes has its own CPU working its own shard of the plan
+  /// concurrently (the cluster analogue of MPI ranks), so the single
+  /// simulated host thread advances by the per-node share — the makespan
+  /// across node CPUs for a balanced plan — not the cluster-wide sum.
+  static SimTime index_calc_ns(std::size_t copies, int nodes) {
+    return static_cast<SimTime>(copies) *
+           sim::Platform::instance().config().host_index_calc_ns_per_copy /
+           static_cast<SimTime>(nodes);
+  }
+
+  /// The device half of the exchange: per destination region the CPU
+  /// computes the index lists (this is the exchange plan) while the device
+  /// engines apply the previous region's updates — the overlap of Fig. 4.
+  /// Faces whose source lives on the destination's device go into one
+  /// update kernel on the destination's stream; faces crossing devices are
+  /// issued as stream-ordered peer copies. Devices form `nodes` contiguous
+  /// blocks: faces whose source sits on another node are skipped (the
+  /// cluster array moves those over the fabric) and the host index time is
+  /// split across the node CPUs. `nodes` is 1 outside a cluster.
+  void exchange_device_faces(tida::Boundary bc, int nodes) {
+    sim::Platform& p = sim::Platform::instance();
+    const bool labels = op_labels_wanted();
+    const int devices_per_node = num_devices_ / nodes;
+    const auto node_of = [this, devices_per_node](int region) {
+      return owner_[static_cast<std::size_t>(region)] / devices_per_node;
+    };
+    const auto& plan = this->exchange_plan(bc);
+    std::size_t begin = 0;
+    while (begin < plan.size()) {
+      // The plan is grouped by destination region.
+      const int dst = plan[begin].dst_region;
+      const int dst_dev = owner_[static_cast<std::size_t>(dst)];
+      const int dst_node = node_of(dst);
+      std::size_t end = begin;
+      std::uint64_t local_cells = 0;
+      std::size_t intra = 0;
+      while (end < plan.size() && plan[end].dst_region == dst) {
+        if (node_of(plan[end].src_region) == dst_node) {
+          ++intra;
+          if (owner_[static_cast<std::size_t>(plan[end].src_region)] ==
+              dst_dev) {
+            local_cells += plan[end].dst_box.volume();
+          }
+        }
+        ++end;
+      }
+      if (intra == 0) {
+        begin = end;
+        continue;
+      }
+      const auto on_node = [&](std::size_t c) {
+        return node_of(plan[c].src_region) == dst_node;
+      };
+
+      // CPU index computation covers the whole group — intra-device and
+      // peer faces alike ride the same pipelined descriptors (Fig. 4).
+      p.host_advance(index_calc_ns(intra, nodes));
+
+      const cuemStream_t dstream = stream_of_region(dst);
+
+      if (local_cells > 0) {
+        // GPU applies the copies: one update kernel per destination
+        // region, queued on that region's stream (async clause). The
+        // kernel reads the source cells and writes the ghost cells:
+        // 2 * sizeof(T) traffic.
+        sim::KernelProfile prof;
+        prof.elements = local_cells * this->ncomp();
+        prof.dev_bytes_per_element = 2.0 * sizeof(T);
+        prof.flops_per_element = 0.0;
+        prof.tuned_geometry = false;  // OpenACC-generated update kernel
+
+        auto action = [this, bc, dst_dev, begin, end]() {
+          const auto& pl = this->exchange_plan(bc);
+          for (std::size_t c = begin; c < end; ++c) {
+            if (owner_[static_cast<std::size_t>(pl[c].src_region)] ==
+                dst_dev) {
+              apply_copy_device(pl[c]);
+            }
+          }
+        };
+        p.enqueue_kernel(dstream, prof, p.config().oacc_dispatch_extra_ns,
+                         std::move(action),
+                         labels ? "ghost:R" + std::to_string(dst)
+                                : std::string());
+        ++device_ghost_updates_;
+      }
+
+      for (std::size_t c = begin; c < end; ++c) {
+        const tida::GhostCopy& gc = plan[c];
+        const int src_dev = owner_[static_cast<std::size_t>(gc.src_region)];
+        if (src_dev == dst_dev || !on_node(c)) {
+          continue;
+        }
+        const std::uint64_t bytes =
+            gc.dst_box.volume() * this->ncomp() * sizeof(T);
+        auto action = [this, bc, c]() {
+          apply_copy_device(this->exchange_plan(bc)[c]);
+        };
+        CUEM_CHECK(cuem::peer_copy_async(
+            dst_dev, src_dev, bytes, dstream,
+            labels ? "G:R" + std::to_string(gc.src_region) + ">R" +
+                         std::to_string(dst)
+                   : std::string(),
+            std::move(action)));
+        ++peer_ghost_copies_;
+      }
+      if (cuem::san::enabled()) {
+        const std::string op = "ghost:R" + std::to_string(dst);
+        for (std::size_t c = begin; c < end; ++c) {
+          if (on_node(c)) {
+            note_ghost_copy_access(dstream, plan[c], op.c_str());
+          }
+        }
+      }
+      for (std::size_t c = begin; c < end; ++c) {
+        if (on_node(c)) {
+          note_device_write(dst, plan[c].dst_box);
+        }
+      }
+      // Stream order protects the *destination*: its stream runs this
+      // group's update kernel and peer copies before later kernels on that
+      // region. The *sources* sit on other streams (possibly other
+      // devices), though — without an edge, the next compute kernel on a
+      // source's stream could overwrite the cells still being read. Record
+      // an event here and make each source stream wait.
+      std::vector<cuemStream_t> src_streams;
+      for (std::size_t c = begin; c < end; ++c) {
+        if (!on_node(c)) {
+          continue;
+        }
+        const cuemStream_t s = stream_of_region(plan[c].src_region);
+        if (s != dstream &&
+            std::find(src_streams.begin(), src_streams.end(), s) ==
+                src_streams.end()) {
+          src_streams.push_back(s);
+        }
+      }
+      if (!src_streams.empty()) {
+        cuemEvent_t ev = 0;
+        CUEM_CHECK(cuemEventCreate(&ev));
+        CUEM_CHECK(cuemEventRecord(ev, dstream));
+        for (const cuemStream_t s : src_streams) {
+          CUEM_CHECK(cuemStreamWaitEvent(s, ev, 0));
+        }
+        CUEM_CHECK(cuemEventDestroy(ev));
+      }
+      begin = end;
+    }
+  }
+
   /// Waits for the last async transfer still touching `region`'s host
-  /// buffer, if any (see AccTileArray::sync_pending_host — a successful
-  /// query costs nothing; only an in-flight transfer pays a synchronize).
+  /// buffer, if any. A successful query is enough (the transfer already
+  /// completed — nothing to wait for and no host time spent); only a
+  /// genuinely in-flight transfer costs a synchronize.
   void sync_pending_host(int region) {
     cuemStream_t& s = pending_xfer_[static_cast<std::size_t>(region)];
     if (s < 0) {
@@ -862,6 +1027,27 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
+  /// Queues the eviction of whatever region `slot` of device `dev` holds.
+  /// Paper's eviction: the victim's D2H goes on the *same* stream before
+  /// the newcomer's H2D — stream order guarantees correctness with no
+  /// global synchronization. The D2H is skipped when the victim's newest
+  /// data already lives on the host (e.g. it was pulled back for a
+  /// host-side ghost exchange): writing the stale device copy over it would
+  /// clobber fresher host data.
+  void evict_resident(int dev, int slot, T* dev_ptr, cuemStream_t stream) {
+    CacheTable& cache = shard(dev).pool->cache();
+    if (cache.resident(slot) == -1) {
+      return;
+    }
+    const int victim =
+        shard(dev).regions[static_cast<std::size_t>(cache.resident(slot))];
+    if (loc_.location(victim) == Loc::kDevice) {
+      drain_device(victim, dev_ptr, stream);
+      loc_.set(victim, Loc::kHost);
+    }
+    cache.evict(slot);
+  }
+
   /// Orders `stream` after the last async transfer still touching
   /// `region`'s host buffer from a *different* stream — the D2H queued when
   /// a dynamic policy evicted the region out of another slot. Without the
@@ -872,8 +1058,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
   void order_after_pending(int region, cuemStream_t stream) {
     if (injected("evict_race")) {
       // Re-opens the pre-fix behaviour: no cross-stream edge, so the H2D
-      // races the in-flight eviction D2H (fuzzer/sanitizer regression bait,
-      // same defect class as the single-device array's).
+      // races the in-flight eviction D2H (fuzzer/sanitizer regression bait).
       return;
     }
     cuemStream_t& pending = pending_xfer_[static_cast<std::size_t>(region)];
@@ -904,14 +1089,23 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Sanitizer bookkeeping: the exact byte boxes one planned ghost copy
-  /// touches in the source and destination slot buffers, per component
-  /// (see AccTileArray::note_ghost_copy_access).
+  /// touches in the source and destination slot buffers, per component.
+  /// Box-precise so concurrent update kernels into *disjoint* ghost shells
+  /// do not read as racing.
   void note_ghost_copy_access(cuemStream_t stream, const tida::GhostCopy& c,
                               const char* op) {
-    const tida::Region<T> src = device_region(c.src_region);
-    const tida::Region<T> dst = device_region(c.dst_region);
+    note_copy_access(stream, device_region(c.src_region),
+                     device_region(c.dst_region), c, op);
+  }
+
+  /// The byte boxes of one planned copy between two region views (slot
+  /// buffers, or the pinned host buffers a staged wire copy lands in).
+  static void note_copy_access(cuemStream_t stream,
+                               const tida::Region<T>& src,
+                               const tida::Region<T>& dst,
+                               const tida::GhostCopy& c, const char* op) {
     const tida::Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < this->ncomp(); ++comp) {
+    for (int comp = 0; comp < dst.ncomp; ++comp) {
       cuem::san::BoxShape box;
       box.width = static_cast<std::size_t>(e.i) * sizeof(T);
       box.height = static_cast<std::size_t>(e.j);
@@ -929,29 +1123,25 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Raw-vs-compressed decision for one host<->device transfer (see
-  /// AccTileArray::compress_transfer — identical model, so single-device
-  /// programs make identical choices through either class).
+  /// Raw-vs-compressed decision for one host<->device transfer of `bytes`
+  /// logical payload (use_codec at this array's link rate; for pitched
+  /// copies the memcpy3d overhead is identical on both paths too). Because
+  /// the discrete-event schedule is monotone in op durations and the op
+  /// *sequence* is mode-independent, picking the per-op minimum here means
+  /// kAuto's makespan never exceeds kOff's or kOn's.
   bool compress_transfer(std::uint64_t bytes, bool h2d,
                          sim::PayloadKind payload) const {
-    if (compression_ == Compression::kOff || bytes == 0) {
-      return false;
-    }
-    if (compression_ == Compression::kOn) {
-      return true;
-    }
     const sim::DeviceConfig& cfg = sim::Platform::instance().config();
     const bool pinned = this->host_alloc_kind() == tida::HostAlloc::kPinned;
     const double gbps = h2d ? (pinned ? cfg.pinned_h2d_gbps
                                       : cfg.pageable_h2d_gbps)
                             : (pinned ? cfg.pinned_d2h_gbps
                                       : cfg.pageable_d2h_gbps);
-    const std::uint64_t wire = cfg.codec.wire_bytes(bytes, payload);
-    return cfg.codec.codec_time_ns(bytes) + transfer_time_ns(wire, gbps) <
-           transfer_time_ns(bytes, gbps);
+    return use_codec(compression_, cfg.codec, bytes, payload, gbps);
   }
 
-  /// Wire-byte accounting shared by every transfer path (see AccTileArray).
+  /// Wire-byte accounting shared by every transfer path: raw transfers put
+  /// their full payload on the wire, compressed ones only the codec output.
   void note_wire(bool h2d, std::uint64_t wire_bytes) {
     if (h2d) {
       xfer_.h2d_wire_bytes += wire_bytes;
@@ -961,7 +1151,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Queues one whole-region transfer on `stream` (owner's device),
-  /// through the codec when the policy and cost model say so.
+  /// through the codec when the policy and cost model say so (whole
+  /// regions compress at the interior ratio).
   void copy_region(T* dst, const T* src, int region, cuemMemcpyKind kind,
                    cuemStream_t stream) {
     const std::size_t bytes = this->region_bytes(region);
@@ -969,7 +1160,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
     if (compress_transfer(bytes, h2d, sim::PayloadKind::kInterior)) {
       CUEM_CHECK(cuem::compressed_memcpy_async(
           dst, src, bytes, kind, stream, sim::PayloadKind::kInterior,
-          (h2d ? "zH2D:R" : "zD2H:R") + std::to_string(region)));
+          op_labels_wanted()
+              ? (h2d ? "zH2D:R" : "zD2H:R") + std::to_string(region)
+              : std::string()));
       note_wire(h2d, sim::Platform::instance().config().codec.wire_bytes(
                          bytes, sim::PayloadKind::kInterior));
       if (h2d) {
@@ -991,8 +1184,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Protocol bookkeeping of handing a region to host code (see
-  /// AccTileArray::set_host_authoritative).
+  /// Protocol bookkeeping of handing a region to host code: the host copy
+  /// becomes authoritative and — conservatively — wholly dirty, since the
+  /// caller may write anywhere through raw pointers.
   void set_host_authoritative(int region) {
     loc_.set(region, Loc::kHost);
     if (delta_transfers_) {
@@ -1000,8 +1194,9 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Chunk count of a pitched copy of `box` out of the grown-box layout,
-  /// mirroring the cuem coalescing rules.
+  /// Chunk count of a pitched copy of `box` out of the grown-box layout of
+  /// one component, mirroring the cuem coalescing rules: full-width rows
+  /// merge into slices, full slices into one contiguous burst.
   static std::uint64_t chunks_for(const tida::Box& grown,
                                   const tida::Box& box) {
     const tida::Index3 e = box.extent();
@@ -1012,25 +1207,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
     return e.j == ge.j ? 1 : static_cast<std::uint64_t>(e.k);
   }
 
-  /// Exchange-level cost model behind StreamingGuard::kAuto — the
-  /// multi-device mirror of AccTileArray::streaming_cheaper (link costs are
-  /// identical on every simulated device, so the aggregate predictor needs
-  /// no per-device split).
-  bool streaming_cheaper(tida::Boundary bc) {
-    const sim::DeviceConfig& cfg = sim::Platform::instance().config();
-    const auto& plan = this->exchange_plan(bc);
-
-    const auto op_ns = [this, &cfg](const tida::Box& grown,
-                                    const tida::Box& b, double gbps) {
-      const std::uint64_t comp_bytes = b.volume() * sizeof(T);
-      return static_cast<SimTime>(this->ncomp()) *
-                 (cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
-                  cfg.memcpy3d_overhead_ns(comp_bytes,
-                                           chunks_for(grown, b))) +
-             transfer_time_ns(comp_bytes * this->ncomp(), gbps);
-    };
-
-    SimTime stream_ns = 0;
+  /// Per source region, the planned source cells the device has written
+  /// since the copies last agreed, kept disjoint: several ghost copies may
+  /// read overlapping source cells, and nothing should cross twice.
+  std::vector<std::vector<tida::Box>> streaming_pulls(
+      const std::vector<tida::GhostCopy>& plan) const {
     std::vector<std::vector<tida::Box>> pulls(
         static_cast<std::size_t>(this->num_regions()));
     for (const auto& c : plan) {
@@ -1047,12 +1228,44 @@ class MultiAccTileArray : public tida::TileArray<T> {
         list.insert(list.end(), fresh.begin(), fresh.end());
       }
     }
+    return pulls;
+  }
+
+  /// Exchange-level cost model behind StreamingGuard::kAuto: predicts the
+  /// serial pitched-copy cost of one whole streaming exchange (every pull
+  /// streaming_pulls would issue plus every ghost-box push into a resident
+  /// region) against one pipelined drain + re-upload, and streams only when
+  /// cheaper. The per-region delta_cheaper guard below cannot see this:
+  /// each region's shells look cheap in isolation, but a periodic exchange
+  /// on a slab partition issues hundreds of self-wrap face/edge/corner ops
+  /// that each pay the full transfer-setup latency. Link costs are
+  /// identical on every simulated device, so the aggregate predictor needs
+  /// no per-device split.
+  bool streaming_cheaper(tida::Boundary bc) {
+    const sim::DeviceConfig& cfg = sim::Platform::instance().config();
+    const auto& plan = this->exchange_plan(bc);
+
+    const auto op_ns = [this, &cfg](const tida::Box& grown,
+                                    const tida::Box& b, double gbps) {
+      const std::uint64_t comp_bytes = b.volume() * sizeof(T);
+      return static_cast<SimTime>(this->ncomp()) *
+                 (cfg.host_api_overhead_ns + cfg.transfer_latency_ns +
+                  cfg.memcpy3d_overhead_ns(comp_bytes,
+                                           chunks_for(grown, b))) +
+             transfer_time_ns(comp_bytes * this->ncomp(), gbps);
+    };
+
+    SimTime stream_ns = 0;
+    const std::vector<std::vector<tida::Box>> pulls = streaming_pulls(plan);
     for (int r = 0; r < this->num_regions(); ++r) {
       const tida::Box& grown = this->region(r).grown;
       for (const tida::Box& b : pulls[static_cast<std::size_t>(r)]) {
         stream_ns += op_ns(grown, b, cfg.pinned_d2h_gbps);
       }
     }
+    // Phase-3 pushes: every plan ghost box lands host-dirty on its
+    // destination and is pushed into each resident region, on top of any
+    // host-dirty boxes those regions already carry.
     for (const auto& c : plan) {
       if (loc_.location(c.dst_region) != Loc::kDevice) {
         continue;
@@ -1070,6 +1283,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
       }
     }
 
+    // The drain alternative: D2H of every device-resident region now, flat
+    // H2D re-upload of every region at its next acquire. The two engines
+    // overlap each other and the re-uploads overlap compute, so the
+    // predicted cost is the busier direction, not the sum.
     SimTime d2h_ns = 0;
     SimTime h2d_ns = 0;
     for (int r = 0; r < this->num_regions(); ++r) {
@@ -1086,7 +1303,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// True when shipping `boxes` as pitched sub-box copies is modeled
-  /// cheaper than one flat whole-region transfer in direction `h2d`.
+  /// cheaper than one flat whole-region transfer in direction `h2d`
+  /// (latency + chunk overhead per box/component vs one full burst).
   bool delta_cheaper(int region, const std::vector<tida::Box>& boxes,
                      bool h2d) const {
     const sim::DeviceConfig& cfg = sim::Platform::instance().config();
@@ -1110,9 +1328,11 @@ class MultiAccTileArray : public tida::TileArray<T> {
   }
 
   /// Queues one pitched sub-box copy per box per component between the
-  /// host buffer and the owner-device slot buffer of `region`. `payload`
-  /// names what the boxes carry, which sets the modeled compression ratio
-  /// (see AccTileArray::copy_boxes).
+  /// host buffer and the owner-device slot buffer of `region` (both share
+  /// the grown-box geometry, so pitches are identical on both sides). Each
+  /// box is priced through the codec independently when the policy allows
+  /// it — `payload` names what the boxes carry (face shells of a delta
+  /// exchange, ghost refreshes), which sets the modeled compression ratio.
   void copy_boxes(int region, const std::vector<tida::Box>& boxes,
                   cuemMemcpyKind kind, cuemStream_t stream,
                   sim::PayloadKind payload) {
@@ -1122,6 +1342,7 @@ class MultiAccTileArray : public tida::TileArray<T> {
     const std::size_t pitch = static_cast<std::size_t>(ge.i) * sizeof(T);
     const std::size_t slice = pitch * static_cast<std::size_t>(ge.j);
     const bool h2d = kind == cuemMemcpyHostToDevice;
+    const bool labels = op_labels_wanted();
     for (const tida::Box& b : boxes) {
       if (b.empty()) {
         continue;
@@ -1143,7 +1364,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
         if (compress_transfer(bytes, h2d, payload)) {
           CUEM_CHECK(cuem::compressed_memcpy3d_async(
               parms, stream, payload,
-              (h2d ? "zdH2D:R" : "zdD2H:R") + std::to_string(region)));
+              labels ? (h2d ? "zdH2D:R" : "zdD2H:R") + std::to_string(region)
+                     : std::string()));
           note_wire(h2d, sim::Platform::instance().config().codec.wire_bytes(
                              bytes, payload));
           if (h2d) {
@@ -1152,9 +1374,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
             ++xfer_.comp_d2h_ops;
           }
         } else {
-          CUEM_CHECK(cuem::memcpy3d_async(parms, stream,
-                                          (h2d ? "dH2D:R" : "dD2H:R") +
-                                              std::to_string(region)));
+          CUEM_CHECK(cuem::memcpy3d_async(
+              parms, stream,
+              labels ? (h2d ? "dH2D:R" : "dD2H:R") + std::to_string(region)
+                     : std::string()));
           note_wire(h2d, bytes);
         }
         pending_xfer_[static_cast<std::size_t>(region)] = stream;
@@ -1169,8 +1392,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
     }
   }
 
-  /// Brings the host copy of a device-current region up to date (see
-  /// AccTileArray::drain_device). Queues only.
+  /// Brings the host copy of a device-current region up to date: ships the
+  /// device-dirty boxes as pitched copies when forced (host-dirty cells a
+  /// flat copy would clobber) or modeled cheaper, else one flat D2H.
+  /// Queues only — callers sync when they need the data on the host.
   void drain_device(int region, T* dev, cuemStream_t stream) {
     if (delta_transfers_) {
       const std::vector<tida::Box>& dd = dirty_.dev_dirty(region);
@@ -1187,8 +1412,10 @@ class MultiAccTileArray : public tida::TileArray<T> {
                 cuemMemcpyDeviceToHost, stream);
   }
 
-  /// Brings the device copy of a resident region up to date with the host
-  /// (see AccTileArray::refresh_device).
+  /// Brings the device copy of a resident region up to date with the host:
+  /// ships the host-dirty boxes as pitched copies when forced (the device
+  /// has newer cells of its own a flat copy would clobber) or modeled
+  /// cheaper, else one flat H2D.
   void refresh_device(int region, T* dev, cuemStream_t stream) {
     if (delta_transfers_) {
       const std::vector<tida::Box>& hd = dirty_.host_dirty(region);
@@ -1205,23 +1432,12 @@ class MultiAccTileArray : public tida::TileArray<T> {
                 cuemMemcpyHostToDevice, stream);
   }
 
-  /// Applies one planned ghost copy between slot buffers (the functional
-  /// part of an update kernel or a peer copy; buffers may live on
-  /// different devices).
+  /// Applies one planned ghost copy between slot buffers, all components
+  /// (the functional part of an update kernel or a peer copy; buffers may
+  /// live on different devices).
   void apply_copy_device(const tida::GhostCopy& c) {
-    const tida::Region<T> src = device_region(c.src_region);
-    const tida::Region<T> dst = device_region(c.dst_region);
-    const tida::Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < this->ncomp(); ++comp) {
-      for (int k = 0; k < e.k; ++k) {
-        for (int j = 0; j < e.j; ++j) {
-          const tida::Index3 d0 = c.dst_box.lo + tida::Index3{0, j, k};
-          const tida::Index3 s0 = c.src_box.lo + tida::Index3{0, j, k};
-          std::memcpy(&dst.at(d0, comp), &src.at(s0, comp),
-                      static_cast<std::size_t>(e.i) * sizeof(T));
-        }
-      }
-    }
+    Base::apply_copy(device_region(c.src_region), device_region(c.dst_region),
+                     c);
   }
 
   std::vector<DeviceShard> shards_;
@@ -1230,7 +1446,8 @@ class MultiAccTileArray : public tida::TileArray<T> {
   LocationTracker loc_;
   DirtyTracker dirty_;
   /// Per region: stream of the last queued async transfer that reads or
-  /// writes the region's *host* buffer, or -1 (see AccTileArray).
+  /// writes the region's *host* buffer, or -1. Host code must synchronize
+  /// (sync_pending_host) before touching the buffer.
   std::vector<cuemStream_t> pending_xfer_;
   TransferAccounting xfer_;
   DevicePlacement placement_;
@@ -1239,18 +1456,44 @@ class MultiAccTileArray : public tida::TileArray<T> {
   std::uint64_t peer_ghost_copies_ = 0;
   std::uint64_t prefetches_issued_ = 0;
   std::uint64_t streaming_exchanges_ = 0;
+  bool disable_caching_ = false;
   bool delta_transfers_ = false;
   StreamingGuard streaming_guard_ = StreamingGuard::kAuto;
   int time_block_k_ = 1;
   Compression compression_ = Compression::kOff;
 };
 
+/// Indexable view of one region's buffer (host or device side), carrying
+/// the grown-box layout so lambdas can address cells by global index.
+/// Multi-component arrays use the 4-argument accessor; the component block
+/// stride equals the grown volume (component-major layout).
+template <typename T>
+struct DeviceView {
+  T* data = nullptr;
+  tida::Box grown;
+  int ncomp = 1;
+
+  T& operator()(int i, int j, int k) const {
+    const tida::Index3 rel = tida::Index3{i, j, k} - grown.lo;
+    const tida::Index3 e = grown.extent();
+    return data[(static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
+                rel.i];
+  }
+
+  T& operator()(int i, int j, int k, int c) const {
+    const tida::Index3 rel = tida::Index3{i, j, k} - grown.lo;
+    const tida::Index3 e = grown.extent();
+    return data[static_cast<std::size_t>(c) * grown.volume() +
+                (static_cast<std::size_t>(rel.k) * e.j + rel.j) * e.i +
+                rel.i];
+  }
+};
+
 // --- whole-region compute on the owning device ---
 
 /// Launches `body` over `region`'s valid box on the region's owning device
-/// (the multi-GPU analogue of compute() over a whole-region tile: same
-/// staging, stream choice, profile and label, so a 1-device program traces
-/// identically to the AccTileArray path).
+/// (compute() over a whole-region tile with the array instead of a tile:
+/// same staging, stream choice, profile and label).
 template <typename T, typename Fn>
 void compute_gpu(MultiAccTileArray<T>& a, int region,
                  const oacc::LoopCost& cost, Fn&& body) {
@@ -1279,7 +1522,9 @@ void compute_gpu(MultiAccTileArray<T>& a, int region,
     }
   };
   p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                   std::move(action), "C:R" + std::to_string(region));
+                   std::move(action),
+                   op_labels_wanted() ? "C:R" + std::to_string(region)
+                                      : std::string());
   a.note_device_write(region, reg.valid);
   if (cuem::san::enabled()) {
     const std::string op = "C:R" + std::to_string(region);
@@ -1346,7 +1591,9 @@ void compute_gpu(MultiAccTileArray<T>& in, MultiAccTileArray<T>& out,
     }
   };
   p.enqueue_kernel(kstream, prof, p.config().oacc_dispatch_extra_ns,
-                   std::move(action), "C:R" + std::to_string(region));
+                   std::move(action),
+                   op_labels_wanted() ? "C:R" + std::to_string(region)
+                                      : std::string());
   in.note_device_write(region, rin.valid);
   out.note_device_write(region, rout.valid);
   if (cuem::san::enabled()) {

@@ -213,10 +213,16 @@ class TileArray {
   /// Executes one planned copy on host buffers, all components (also used
   /// by tests).
   void apply_copy_host(const GhostCopy& c) {
-    const Region<T> src = region(c.src_region);
-    const Region<T> dst = region(c.dst_region);
+    apply_copy(region(c.src_region), region(c.dst_region), c);
+  }
+
+  /// Executes one planned copy between two region views of this geometry
+  /// (host buffers, or the device slot buffers of a device-backed array),
+  /// all components, row by row.
+  static void apply_copy(const Region<T>& src, const Region<T>& dst,
+                         const GhostCopy& c) {
     const Index3 e = c.dst_box.extent();
-    for (int comp = 0; comp < ncomp_; ++comp) {
+    for (int comp = 0; comp < dst.ncomp; ++comp) {
       for (int k = 0; k < e.k; ++k) {
         for (int j = 0; j < e.j; ++j) {
           const Index3 d0 = c.dst_box.lo + Index3{0, j, k};

@@ -257,7 +257,7 @@ std::uint64_t run_multi(Compression mode) {
   oacc::reset();
   MultiAccOptions o;
   o.devices = 2;
-  o.max_slots_per_device = 2;  // out of core on each device
+  o.max_slots = 2;  // out of core on each device
   o.delta_transfers = true;
   o.compression = mode;
   MultiAccTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, o);
@@ -378,7 +378,7 @@ TEST(CompressionPolicyTest, HostFallbackExchangeWarnsExactlyOnce) {
   oacc::reset();
   ClusterOptions o;
   o.nodes = 2;
-  o.multi.max_slots_per_device = 2;  // under-provisioned: 4 regions/device
+  o.multi.max_slots = 2;  // under-provisioned: 4 regions/device
   ClusterTileArray<double> u(Box::cube(16), Index3{16, 16, 2}, 1, o);
   u.fill(heat_fill);
   u.assume_host_initialized();

@@ -1,8 +1,8 @@
 // Multi-GPU subsystem tests: device topology and peer APIs at the cuem
 // layer, per-device accounting, the MultiAccTileArray placement and
 // distributed ghost exchange, the eviction invariant under per-device slot
-// schedulers and peer copies, and the golden-trace guarantee that a
-// 1-device MultiAccTileArray reproduces AccTileArray bit-for-bit.
+// schedulers and peer copies, the slot stream table under device
+// switches, and pinned trace digests of the single- and two-device paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "core/tidacc.hpp"
+#include "core/world_snapshot.hpp"
 #include "sim/trace.hpp"
 
 namespace tidacc::core {
@@ -405,7 +406,7 @@ TEST_F(MultiArrayTest, FunctionalHeatMatchesSingleDevice) {
 TEST_F(MultiArrayTest, EvictionOrdersVictimD2HBeforeNewcomerH2D) {
   enable_all_peers(2);
   MultiAccOptions opts;
-  opts.max_slots_per_device = 2;  // 4 regions/device share 2 slots each
+  opts.max_slots = 2;  // 4 regions/device share 2 slots each
   MultiAccTileArray<double> a(Box::cube(16), Index3{16, 16, 2}, 0, opts);
   ASSERT_EQ(a.num_regions(), 8);
   ASSERT_FALSE(a.all_regions_fit());
@@ -466,16 +467,63 @@ TEST_F(MultiArrayTest, EvictionOrdersVictimD2HBeforeNewcomerH2D) {
   }
 }
 
-// --- golden trace: 1-device MultiAccTileArray == AccTileArray ---
+// --- slot stream table ---
 
-// The identical single-array program expressed against both APIs. Single
-// tile per region (default tile size), one array per compute, so the
-// operation sequences are comparable op-for-op.
-std::vector<sim::TraceEvent> golden_acc() {
+// The slot->stream table of a device's pool names streams on that device
+// whichever device is current when the table is rebuilt: by a stream
+// permutation applied from another device, and by a snapshot restore.
+TEST_F(MultiArrayTest, PermutedSlotStreamsStayOnTheOwningDevice) {
+  MultiAccOptions o;
+  o.devices = 2;
+  MultiAccTileArray<double> a(Box::cube(16), Index3{16, 16, 2}, 1, o);
+  ASSERT_EQ(a.num_slots(1), 4);
+  const std::vector<int> perm{2, 0, 3, 1};
+  const auto expect_queued_on_device_1 = [&a, &perm]() {
+    ASSERT_EQ(cuem::current_device(), 0);
+    for (const int r : a.regions_of_device(1)) {
+      // Static mapping with a slot per region: local index == slot.
+      cuemStream_t queued = 0;
+      {
+        cuem::DeviceGuard guard(1);
+        queued = oacc::get_cuem_stream(
+            perm[static_cast<std::size_t>(a.local_region(r))]);
+      }
+      EXPECT_EQ(a.stream_of_region(r), queued) << "region " << r;
+      EXPECT_EQ(cuem::platform().stream_device(a.stream_of_region(r)), 1);
+    }
+  };
+
+  ASSERT_EQ(cuemSetDevice(0), cuemSuccess);
+  a.set_stream_permutation(1, perm);
+  expect_queued_on_device_1();
+
+  sim::SnapshotWriter w;
+  world_capture(w);
+  a.capture(w);
+  const std::vector<std::uint8_t> snap = w.take();
+  a.set_stream_permutation(1, {0, 1, 2, 3});
+  sim::SnapshotReader r(snap);
+  world_restore(r);
+  a.restore(r);
+  expect_queued_on_device_1();
+}
+
+// --- pinned trace digests ---
+// The operation sequences of the single-device paper program (with and
+// without caching), an out-of-core AccTileArray run and an out-of-core
+// two-device run, reduced to (event count, final clock, FNV-1a over every
+// TraceEvent field). The expected values were recorded before AccTileArray
+// became the one-device MultiAccTileArray; any schedule, label or byte
+// change in the shared implementation shows up as a digest mismatch.
+
+// The paper's single-array program: host exchange, a GPU sweep, device
+// exchange, a second sweep, drain. Single tile per region (default tile
+// size), one array per compute.
+std::vector<sim::TraceEvent> golden_acc(const AccOptions& opts = {}) {
   cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
                   /*num_devices=*/1, Interconnect::pcie());
   oacc::reset();
-  AccTileArray<double> arr(Box::cube(16), Index3{16, 16, 4}, 1);
+  AccTileArray<double> arr(Box::cube(16), Index3{16, 16, 4}, 1, opts);
   arr.fill(pattern);
   arr.fill_boundary(Boundary::kPeriodic);  // host-side exchange
   AccTileIterator<double> it(arr);
@@ -497,50 +545,136 @@ std::vector<sim::TraceEvent> golden_acc() {
   return cuem::platform().trace().events();
 }
 
-std::vector<sim::TraceEvent> golden_multi() {
+struct TraceDigest {
+  std::size_t events = 0;
+  SimTime end = 0;
+  std::uint64_t hash = 0;
+};
+
+TraceDigest digest_of(const std::vector<sim::TraceEvent>& events,
+                      SimTime end) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const sim::TraceEvent& e : events) {
+    mix(static_cast<std::uint64_t>(e.engine));
+    mix(static_cast<std::uint64_t>(e.stream));
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(static_cast<std::uint64_t>(e.start));
+    mix(static_cast<std::uint64_t>(e.finish));
+    mix(e.bytes);
+    mix(e.label.size());
+    for (const char c : e.label) {
+      mix(static_cast<unsigned char>(c));
+    }
+    mix(static_cast<std::uint64_t>(e.device));
+    mix(e.wire_bytes);
+  }
+  return TraceDigest{events.size(), end, h};
+}
+
+// Out of core on one device: 8 regions through 3 LRU slots, delta
+// transfers and the streaming exchange, per-transfer codec choice (the
+// 1 MB regions cross the codec break-even), and two stencil steps per
+// residency through compute_k with a one-region prefetch lookahead.
+std::vector<sim::TraceEvent> ooc_acc() {
   cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
                   /*num_devices=*/1, Interconnect::pcie());
   oacc::reset();
-  MultiAccTileArray<double> arr(Box::cube(16), Index3{16, 16, 4}, 1);
+  AccOptions o;
+  o.max_slots = 3;
+  o.slot_policy = SlotPolicyKind::kLru;
+  o.delta_transfers = true;
+  o.compression = Compression::kAuto;
+  o.streaming_guard = StreamingGuard::kForceStreaming;
+  o.time_block_k = 2;
+  AccTileArray<double> arr(Box::cube(96), Index3{48, 48, 48}, /*ghost=*/2,
+                           o);
   arr.fill(pattern);
-  arr.fill_boundary(Boundary::kPeriodic);
   const oacc::LoopCost cost = unit_cost();
-  for (int r = 0; r < arr.num_regions(); ++r) {
-    compute_gpu(arr, r, cost,
-                [](DeviceView<double> v, int i, int j, int k) {
-                  v(i, j, k) = 2.0 * v(i, j, k) + 1.0;
+  for (int step = 0; step < 3; ++step) {
+    arr.fill_boundary(Boundary::kPeriodic);
+    for (int r = 0; r < arr.num_regions(); ++r) {
+      compute_k(arr, r, /*k=*/2, /*radius=*/1, cost,
+                [](DeviceView<double> in, DeviceView<double> out, int i,
+                   int j, int k) {
+                  out(i, j, k) = 0.5 * in(i, j, k) +
+                                 0.25 * (in(i - 1, j, k) + in(i, j + 1, k));
                 });
-  }
-  arr.fill_boundary(Boundary::kPeriodic);
-  for (int r = 0; r < arr.num_regions(); ++r) {
-    compute_gpu(arr, r, cost,
-                [](DeviceView<double> v, int i, int j, int k) {
-                  v(i, j, k) += 3.0;
-                });
+      if (r + 1 < arr.num_regions()) {
+        arr.prefetch_to_device(r + 1);
+      }
+    }
   }
   arr.release_all_to_host();
   return cuem::platform().trace().events();
 }
 
-TEST(MultiGpuGoldenTrace, OneDeviceMatchesAccTileArrayBitForBit) {
-  const std::vector<sim::TraceEvent> acc = golden_acc();
-  const SimTime acc_end = cuem::platform().now();
-  const std::vector<sim::TraceEvent> multi = golden_multi();
-  const SimTime multi_end = cuem::platform().now();
-
-  ASSERT_EQ(acc.size(), multi.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i) + " '" + acc[i].label + "'");
-    EXPECT_EQ(acc[i].engine, multi[i].engine);
-    EXPECT_EQ(acc[i].stream, multi[i].stream);
-    EXPECT_EQ(acc[i].kind, multi[i].kind);
-    EXPECT_EQ(acc[i].start, multi[i].start);
-    EXPECT_EQ(acc[i].finish, multi[i].finish);
-    EXPECT_EQ(acc[i].bytes, multi[i].bytes);
-    EXPECT_EQ(acc[i].label, multi[i].label);
-    EXPECT_EQ(acc[i].device, multi[i].device);
+// Out of core on two devices: the streaming exchange pulls and pushes on
+// both devices' slot streams.
+std::vector<sim::TraceEvent> ooc_multi() {
+  cuem::configure(DeviceConfig::k40m(), /*functional=*/true,
+                  /*num_devices=*/2, Interconnect::pcie());
+  oacc::reset();
+  MultiAccOptions o;
+  o.devices = 2;
+  o.max_slots = 2;
+  o.slot_policy = SlotPolicyKind::kLru;
+  o.delta_transfers = true;
+  o.streaming_guard = StreamingGuard::kForceStreaming;
+  MultiAccTileArray<double> arr(Box::cube(16), Index3{16, 16, 2}, 1, o);
+  arr.fill(pattern);
+  const oacc::LoopCost cost = unit_cost();
+  for (int step = 0; step < 2; ++step) {
+    arr.fill_boundary(Boundary::kPeriodic);
+    for (int r = 0; r < arr.num_regions(); ++r) {
+      compute_gpu(arr, r, cost,
+                  [](DeviceView<double> v, int i, int j, int k) {
+                    v(i, j, k) = 0.5 * v(i, j, k) + 0.5 * v(i, j, k - 1);
+                  });
+    }
   }
-  EXPECT_EQ(acc_end, multi_end);
+  arr.release_all_to_host();
+  return cuem::platform().trace().events();
+}
+
+void expect_digest(const TraceDigest& got, const TraceDigest& want) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.end, want.end);
+  EXPECT_EQ(got.hash, want.hash);
+}
+
+TEST(MultiGpuGoldenTrace, TraceDigestsArePinned) {
+  {
+    SCOPED_TRACE("paper program");
+    const std::vector<sim::TraceEvent> ev = golden_acc();
+    expect_digest(digest_of(ev, cuem::platform().now()),
+                  {24, 276687, 0xf34d854977523e8aull});
+  }
+  {
+    SCOPED_TRACE("paper program, caching disabled");
+    AccOptions uncached;
+    uncached.disable_caching = true;
+    const std::vector<sim::TraceEvent> ev = golden_acc(uncached);
+    expect_digest(digest_of(ev, cuem::platform().now()),
+                  {40, 328374, 0xf4b6919d42d988cbull});
+  }
+  {
+    SCOPED_TRACE("out of core, one device");
+    const std::vector<sim::TraceEvent> ev = ooc_acc();
+    expect_digest(digest_of(ev, cuem::platform().now()),
+                  {284, 5603872, 0xb71c7eb875b3d9b2ull});
+  }
+  {
+    SCOPED_TRACE("out of core, two devices");
+    const std::vector<sim::TraceEvent> ev = ooc_multi();
+    expect_digest(digest_of(ev, cuem::platform().now()),
+                  {122, 597833, 0x2bcfe1cd405a83f3ull});
+  }
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 // array). Inner loop: restore the snapshot, draw *dynamic* knobs (transfer
 // jitter, prefetch depth, region visit order, split-phase overlap), and
 // replay the tail. The workload is the Fig. 8 limited-memory halo pattern:
-// a slab-decomposed AccTileArray<double> doing fill_boundary + an in-place
-// ghost-reading stencil each step.
+// a slab-decomposed MultiAccTileArray<double> (one or two devices) doing
+// fill_boundary + an in-place ghost-reading stencil each step.
 //
 // Worlds with nodes > 1 run the same workload on a ClusterTileArray (its
 // capture/restore carries the fabric's QP/MR/counter state through every
@@ -46,9 +46,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/acc_tile_array.hpp"
 #include "core/cluster_tile_array.hpp"
-#include "core/compute.hpp"
 #include "core/multi_acc_array.hpp"
 #include "core/slot_policy.hpp"
 #include "core/world_snapshot.hpp"
@@ -62,8 +60,6 @@
 namespace {
 
 using namespace tidacc;
-using core::AccTile;
-using core::AccTileArray;
 
 // --- knobs ---
 
@@ -210,19 +206,6 @@ constexpr auto kSweepBody = [](core::DeviceView<double> v, int i, int j,
                         v(i, j + 1, k));
 };
 
-void sweep_region(AccTileArray<double>& u, int region,
-                  const oacc::LoopCost& cost) {
-  const tida::Region<double> r = u.region(region);
-  const AccTile<double> tile{&u, tida::Tile<double>{r, r.valid},
-                             /*gpu=*/true};
-  core::compute(tile, cost, kSweepBody);
-}
-
-void sweep_region(core::MultiAccTileArray<double>& u, int region,
-                  const oacc::LoopCost& cost) {
-  core::compute_gpu(u, region, cost, kSweepBody);
-}
-
 /// Fisher-Yates permutation of [0, slots); identity when seed == 0.
 std::vector<int> stream_perm(int slots, std::uint64_t seed) {
   std::vector<int> perm(static_cast<std::size_t>(slots));
@@ -240,20 +223,21 @@ std::vector<int> stream_perm(int slots, std::uint64_t seed) {
 // a slot issues from here on rides a different hardware queue, reshuffling
 // which operations can overlap. Event edges inside set_stream_permutation
 // keep the dependency order, so the checksum must not move.
-void apply_stream_perm(AccTileArray<double>& u, std::uint64_t seed) {
-  if (seed == 0) return;
-  u.set_stream_permutation(stream_perm(u.num_slots(), seed));
-}
-
+//
+// A single-device world permutes with the seed itself, a multi-device one
+// with a per-device derivation; keeping both keeps every existing seed's
+// schedule and repro file.
 void apply_stream_perm(core::MultiAccTileArray<double>& u,
                        std::uint64_t seed) {
   if (seed == 0) return;
   for (int d = 0; d < u.num_devices(); ++d) {
     if (u.regions_of_device(d).empty()) continue;
-    u.set_stream_permutation(
-        d, stream_perm(u.num_slots(d),
-                       seed ^ (0x9e3779b97f4a7c15ull *
-                               static_cast<std::uint64_t>(d + 1))));
+    const std::uint64_t dseed =
+        u.num_devices() == 1
+            ? seed
+            : seed ^ (0x9e3779b97f4a7c15ull *
+                      static_cast<std::uint64_t>(d + 1));
+    u.set_stream_permutation(d, stream_perm(u.num_slots(d), dseed));
   }
 }
 
@@ -264,7 +248,8 @@ void sweep_all(Array& u, const std::vector<int>& order, int depth,
                const oacc::LoopCost& cost) {
   const int regions = static_cast<int>(order.size());
   for (int pos = 0; pos < regions; ++pos) {
-    sweep_region(u, order[static_cast<std::size_t>(pos)], cost);
+    core::compute_gpu(u, order[static_cast<std::size_t>(pos)], cost,
+                      kSweepBody);
     for (int a = 1; a <= depth && pos + a < regions; ++a) {
       u.prefetch_to_device(order[static_cast<std::size_t>(pos + a)]);
     }
@@ -608,26 +593,18 @@ void configure_world(const WorldKnobs& w) {
 #endif
 }
 
-core::AccOptions acc_options(const WorldKnobs& w) {
-  core::AccOptions o;
-  o.max_slots = w.max_slots;
-  o.delta_transfers = w.delta;
-  o.disable_caching = w.disable_caching;
-  o.slot_policy = w.policy;
-  o.streaming_guard = w.guard;
-  o.compression = static_cast<core::Compression>(w.compression);
-  return o;
-}
-
 core::MultiAccOptions multi_acc_options(const WorldKnobs& w) {
-  // disable_caching has no multi-device analogue; the other knobs map 1:1.
-  // max_slots is a per-device budget in the multi array, so divide the
-  // world's total across the devices — keeping the slots:regions pressure
-  // of the single-device run, which is what drives eviction/re-acquire
-  // schedules (and the races hiding in them).
+  // disable_caching applies to single-device worlds only: multi-device
+  // worlds have always run with caching on, and honouring the knob there
+  // would change what every existing multi-device seed explores. The other
+  // knobs map 1:1. max_slots is a per-device budget, so divide the world's
+  // total across the devices — keeping the slots:regions pressure of the
+  // single-device run, which is what drives eviction/re-acquire schedules
+  // (and the races hiding in them).
   core::MultiAccOptions o;
   o.devices = w.num_devices;
-  o.max_slots_per_device = std::max(1, w.max_slots / w.num_devices);
+  o.max_slots = std::max(1, w.max_slots / w.num_devices);
+  o.disable_caching = w.num_devices == 1 && w.disable_caching;
   o.delta_transfers = w.delta;
   o.slot_policy = w.policy;
   o.streaming_guard = w.guard;
@@ -727,15 +704,10 @@ int main(int argc, char** argv) {
                                        tida::Index3{w.n, w.n, slab},
                                        /*ghost=*/1, cluster_options(w));
       o = replay(u);
-    } else if (w.num_devices > 1) {
+    } else {
       core::MultiAccTileArray<double> u(tida::Box::cube(w.n),
                                         tida::Index3{w.n, w.n, slab},
                                         /*ghost=*/1, multi_acc_options(w));
-      o = replay(u);
-    } else {
-      AccTileArray<double> u(tida::Box::cube(w.n),
-                             tida::Index3{w.n, w.n, slab}, /*ghost=*/1,
-                             acc_options(w));
       o = replay(u);
     }
     if (o.failed) {
@@ -760,19 +732,16 @@ int main(int argc, char** argv) {
   std::optional<WorldKnobs> world;
   // The array must outlive every restore of its snapshot (the restore
   // contract is address-stable), so all live in an optional rebuilt per
-  // config block. Worlds with num_devices > 1 exercise the multi-device
-  // array (its own capture/restore and per-device stream permutations);
-  // worlds with nodes > 1 exercise the cluster array (fabric QP/MR state
-  // rides inside its snapshot).
-  std::optional<AccTileArray<double>> u;
+  // config block. Worlds with nodes > 1 exercise the cluster array
+  // (fabric QP/MR state rides inside its snapshot); the rest run the tile
+  // array on one or two devices.
   std::optional<core::MultiAccTileArray<double>> um;
   std::optional<core::ClusterTileArray<double>> uc;
   std::vector<std::uint8_t> snap;
   std::optional<Outcome> reference;
   const auto run_one = [&](const DynKnobs& d) {
-    return uc   ? run_case(snap, *uc, world->policy, d, cost, lint)
-           : um ? run_case(snap, *um, world->policy, d, cost, lint)
-                : run_case(snap, *u, world->policy, d, cost, lint);
+    return uc ? run_case(snap, *uc, world->policy, d, cost, lint)
+              : run_case(snap, *um, world->policy, d, cost, lint);
   };
 
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -780,8 +749,7 @@ int main(int argc, char** argv) {
       config_index = i / per_config;
       world = draw_world(seed, config_index, n, regions, force_nodes,
                          force_fabric, force_compression);
-      u.reset();  // free the old world's buffers before reconfiguring
-      um.reset();
+      um.reset();  // free the old world's buffers before reconfiguring
       uc.reset();
       try {
         configure_world(*world);
@@ -791,16 +759,11 @@ int main(int argc, char** argv) {
                      tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
                      cluster_options(*world));
           snap = build_and_snapshot(*world, *uc, cost);
-        } else if (world->num_devices > 1) {
+        } else {
           um.emplace(tida::Box::cube(world->n),
                      tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
                      multi_acc_options(*world));
           snap = build_and_snapshot(*world, *um, cost);
-        } else {
-          u.emplace(tida::Box::cube(world->n),
-                    tida::Index3{world->n, world->n, slab}, /*ghost=*/1,
-                    acc_options(*world));
-          snap = build_and_snapshot(*world, *u, cost);
         }
         // Baseline replay: no jitter, no prefetch, identity order. Its
         // checksum is the reference every mutated replay must reproduce.

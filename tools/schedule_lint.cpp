@@ -255,7 +255,7 @@ ScenarioResult scenario_multigpu() {
   const int slab = (n + regions - 1) / regions;
   core::MultiAccOptions o;
   o.devices = 2;
-  o.max_slots_per_device = regions;  // resident: exercise the peer path
+  o.max_slots = regions;  // resident: exercise the peer path
   core::MultiAccTileArray<double> u(tida::Box::cube(n),
                                     tida::Index3{n, n, slab}, /*ghost=*/1,
                                     o);
@@ -282,7 +282,7 @@ ScenarioResult scenario_cluster(const char* name, const char* fabric,
   const int slab = (n + regions - 1) / regions;
   core::ClusterOptions o;
   o.multi.devices = 2;
-  o.multi.max_slots_per_device = regions + 2;  // wire path needs residency
+  o.multi.max_slots = regions + 2;  // wire path needs residency
   o.nodes = 2;
   o.fabric = sim::FabricConfig::parse(fabric);
   o.path = path;
